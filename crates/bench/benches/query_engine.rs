@@ -1,64 +1,28 @@
-//! Query-engine headline benchmark (PR 1: scatter/gather + `Searcher`
-//! reuse; PR 3: lazy BFS + wide gather kernels; PR 4: blocked u16 index
-//! layout + deterministic per-row adaptive kernel policy + prefetched
-//! candidate batching).
+//! Query-engine headline benchmark: scatter/gather + `Searcher` reuse,
+//! lazy BFS, the blocked `u16` `U⁻¹` encoding and prefetched candidate
+//! batching.
 //!
 //! On a ~65k-node RMAT graph (the paper's Social/Email stand-in):
 //!
-//! * `kernel_hub/*`, `kernel_mixed/*`, `kernel_cold/*` — the gather
-//!   kernels in isolation over three row populations (hit-dominated hub
-//!   candidates, the PR 1 strided mix, and miss-dominated cold rows),
-//!   each under **both** layouts (`flat_*` vs `blocked_*`) and every
-//!   kernel including `adaptive`. These are the three series the
-//!   adaptive-policy acceptance compares: adaptive must match the best
-//!   fixed kernel on all three simultaneously.
+//! * `kernel_hub/*`, `kernel_mixed/*`, `kernel_cold/*` — the gather in
+//!   isolation over three row populations (hit-dominated hub candidates,
+//!   a strided mix, and miss-dominated cold rows): the blocked gather the
+//!   engine runs against the flat-CSR reference gather it is bit-identical
+//!   to.
 //! * `query_engine/*` — end-to-end top-k sweeps: merge-join reference,
-//!   the PR 1 eager-scalar baseline, one reused lazy `Searcher` per
-//!   kernel on the blocked (default) layout, plus `lazy_adaptive_flat`
-//!   to isolate the layout's contribution.
+//!   the eager whole-tree-first search, and one reused lazy `Searcher`.
 //! * `query_engine_k5/*` — the traversal-bound light-query series.
 //!
-//! The setup prints the index-bytes/nnz report (blocked vs flat), the
-//! lazy-frontier counters, per-population stamp-hit rates with the
-//! policy's predictions, and the per-query gather-byte counters — the
-//! observability the BENCH_PR4.json notes are written from.
-//! `KDASH_BENCH_SCALE` overrides the RMAT scale (default 16).
+//! The setup prints the index-bytes/nnz report, the lazy-frontier
+//! counters, per-population stamp-hit rates and the per-query
+//! gather-byte counters. `KDASH_BENCH_SCALE` overrides the RMAT scale
+//! (default 16).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kdash_core::{GatherKernel, IndexOptions, KdashIndex, RowLayout, Searcher, TopKResult};
+use kdash_core::{IndexOptions, KdashIndex, TopKResult};
 use kdash_datagen::{rmat, RmatParams};
 use kdash_graph::NodeId;
-use kdash_sparse::{GatherCounters, GatherScratch, ProximityStore, ScatteredColumn};
-
-/// The fixed kernels this host can run, labelled for the report.
-fn host_kernels() -> Vec<(&'static str, GatherKernel)> {
-    let mut kernels = vec![
-        ("scalar", GatherKernel::Scalar),
-        ("unrolled4", GatherKernel::Unrolled4),
-    ];
-    if let Ok(resolved) = GatherKernel::Simd.resolve() {
-        kernels.push((resolved.name(), GatherKernel::Simd));
-    }
-    kernels.push(("adaptive", GatherKernel::Adaptive));
-    kernels
-}
-
-/// Sweeps `rows` through one store/kernel pair, returning the checksum.
-fn sweep(
-    store: &ProximityStore,
-    kernel: GatherKernel,
-    rows: &[NodeId],
-    column: &ScatteredColumn,
-    scratch: &mut GatherScratch,
-) -> f64 {
-    let resolved = kernel.resolve().expect("host kernel");
-    let mut counters = GatherCounters::default();
-    let mut acc = 0.0;
-    for &r in rows {
-        acc += store.row_gather(resolved, r, column, scratch, &mut counters);
-    }
-    std::hint::black_box(acc)
-}
+use kdash_sparse::ScatteredColumn;
 
 fn bench(c: &mut Criterion) {
     let scale: u32 = std::env::var("KDASH_BENCH_SCALE")
@@ -69,9 +33,8 @@ fn bench(c: &mut Criterion) {
     let graph = rmat(scale, n * 4, RmatParams::default(), 42);
     let t0 = std::time::Instant::now();
     let index = KdashIndex::build(&graph, IndexOptions::default()).expect("index build");
-    let flat_index = index.with_layout(RowLayout::Flat);
     let blocked = index.uinv_rows();
-    let flat = flat_index.uinv_rows();
+    let flat = blocked.to_csr();
     println!(
         "query_engine setup: rmat scale {scale}: {} nodes, {} edges; index built in {:.1?} \
          (nnz L-inv {}, nnz U-inv {})",
@@ -82,11 +45,9 @@ fn bench(c: &mut Criterion) {
         index.stats().nnz_u_inv,
     );
     println!(
-        "index bytes/nnz: blocked {:.3} vs flat {:.3} ({:.1}% index-traffic cut, {} runs)",
+        "index bytes/nnz: blocked {:.3} vs flat CSR 4.000 ({} runs)",
         blocked.index_bytes() as f64 / blocked.nnz() as f64,
-        flat.index_bytes() as f64 / flat.nnz() as f64,
-        100.0 * (1.0 - blocked.index_bytes() as f64 / flat.index_bytes() as f64),
-        blocked.as_blocked().expect("blocked").num_runs(),
+        blocked.num_runs(),
     );
 
     // Deterministic query mix over non-dangling nodes: hubs and leaves both
@@ -96,12 +57,11 @@ fn bench(c: &mut Criterion) {
     let queries: Vec<NodeId> = kdash_bench::queries_for(&graph, 32);
     let k = 50;
 
-    // Lazy-frontier counters plus the new gather-byte counters over the
-    // mix, per kernel class.
+    // Lazy-frontier counters plus the gather-byte counters over the mix.
     {
         let mut searcher = index.searcher();
         let (mut expanded, mut discovered, mut full, mut early) = (0usize, 0usize, 0usize, 0usize);
-        let (mut bytes, mut val_bytes, mut r_scalar, mut r_wide) = (0usize, 0usize, 0usize, 0usize);
+        let (mut bytes, mut val_bytes, mut rows) = (0usize, 0usize, 0usize);
         for &q in &queries {
             let lazy = searcher.top_k(q, k).expect("query");
             let eager = index.top_k_merge_join(q, k).expect("query");
@@ -111,8 +71,7 @@ fn bench(c: &mut Criterion) {
             early += lazy.stats.terminated_early as usize;
             bytes += lazy.stats.bytes_touched;
             val_bytes += lazy.stats.value_bytes_touched;
-            r_scalar += lazy.stats.rows_scalar;
-            r_wide += lazy.stats.rows_wide;
+            rows += lazy.stats.rows_scalar;
         }
         println!(
             "lazy frontier over {} queries (k={k}): expanded {expanded} / discovered \
@@ -122,13 +81,10 @@ fn bench(c: &mut Criterion) {
             early,
             100.0 * expanded as f64 / full.max(1) as f64,
         );
-        println!(
-            "adaptive gathers (blocked): rows scalar {r_scalar} / wide {r_wide}; index bytes \
-             {bytes}, model value bytes {val_bytes}"
-        );
+        println!("gathers: rows {rows}; index bytes {bytes}, model value bytes {val_bytes}");
     }
 
-    // Kernel-level comparison, isolated from BFS and heap costs: the
+    // Gather-level comparison, isolated from BFS and heap costs: the
     // *hub-most* query of the mix (densest scattered `L⁻¹` column — the
     // per-query cost profile the paper's skewed datasets stress) against
     // three row populations of the stored U⁻¹.
@@ -137,25 +93,21 @@ fn bench(c: &mut Criterion) {
         .max_by_key(|&&q| index.linv_query_column(q).0.len())
         .expect("non-empty query mix");
     let (col_idx, col_val) = index.linv_query_column(hub_query);
-    println!("kernel column: query {hub_query}, nnz(L⁻¹ e_q) = {}", col_idx.len());
+    println!("gather column: query {hub_query}, nnz(L⁻¹ e_q) = {}", col_idx.len());
     let mut column = ScatteredColumn::new(graph.num_nodes());
     column.load(col_idx, col_val);
-    let mut scratch = GatherScratch::with_capacity(blocked.max_row_nnz());
 
-    // Row populations (analysed on the flat twin, benched on both
-    // layouts):
-    //  * mixed — the PR 1 stride over all rows vs the hub column
-    //            (continuity baseline);
+    // Row populations:
+    //  * mixed — a stride over all rows vs the hub column;
     //  * hub   — the 512 highest-overlap rows vs the hub column
-    //            (hit-dominated: the wide kernels' best case);
+    //            (hit-dominated);
     //  * cold  — the same dense rows against the *sparsest* query column
-    //            of the mix (miss-dominated: PR 3's regression case —
-    //            big DRAM-resident rows, almost every stamp check fails).
-    let flat_csr = flat.as_flat().expect("flat twin");
+    //            of the mix (miss-dominated: big DRAM-resident rows,
+    //            almost every stamp check fails).
     let mixed: Vec<NodeId> = (0..graph.num_nodes() as NodeId).step_by(7).collect();
     let mut by_overlap: Vec<(usize, usize, NodeId)> = (0..graph.num_nodes() as NodeId)
         .map(|r| {
-            let (cols, _) = flat_csr.row(r);
+            let (cols, _) = flat.row(r);
             let matched = cols.iter().filter(|&&c| column.get(c).is_some()).count();
             (matched, cols.len(), r)
         })
@@ -173,33 +125,28 @@ fn bench(c: &mut Criterion) {
     let mut cold_column = ScatteredColumn::new(graph.num_nodes());
     cold_column.load(cold_idx, cold_val);
 
-    // Per-population observability: actual stamp-hit rate vs what the
-    // policy decides, and how many rows it hands to the wide kernel.
+    // Per-population observability: the actual stamp-hit rate.
     for (label, rows, col) in [
         ("hub", &hubs, &column),
         ("mixed", &mixed, &column),
         ("cold", &hubs, &cold_column),
     ] {
-        let (mut nnz_total, mut matched_total, mut wide_rows) = (0usize, 0usize, 0usize);
+        let (mut nnz_total, mut matched_total) = (0usize, 0usize);
         for &r in rows.iter() {
-            let (cols, _) = flat_csr.row(r);
+            let (cols, _) = flat.row(r);
             nnz_total += cols.len();
             matched_total += cols.iter().filter(|&&c| col.get(c).is_some()).count();
-            let stat = blocked.row_stat(r);
-            if kdash_sparse::adaptive_picks_wide(stat, col) {
-                wide_rows += 1;
-            }
         }
         println!(
-            "{label} rows: {} rows, avg nnz {:.0}, actual stamp-hit {:.1}%, policy sends \
-             {wide_rows} wide",
+            "{label} rows: {} rows, avg nnz {:.0}, actual stamp-hit {:.1}%",
             rows.len(),
             nnz_total as f64 / rows.len().max(1) as f64,
             100.0 * matched_total as f64 / nnz_total.max(1) as f64,
         );
     }
 
-    // The three kernel series groups × both layouts × every kernel.
+    // The three gather series: blocked (the engine's gather) against the
+    // flat-CSR reference.
     for (group_name, rows, col) in [
         ("kernel_hub", &hubs, &column),
         ("kernel_mixed", &mixed, &column),
@@ -209,26 +156,31 @@ fn bench(c: &mut Criterion) {
         group.sample_size(30);
         if group_name == "kernel_mixed" {
             // Continuity with BENCH_PR1/PR3: the merge join over the mix,
-            // on the flat matrix those PRs measured (the blocked decode
-            // would otherwise pollute the cross-PR comparison).
+            // on flat CSR.
             let rows = rows.clone();
             group.bench_function("merge_join", |b| {
                 b.iter(|| {
                     let mut acc = 0.0;
                     for &r in &rows {
-                        acc += flat_csr.row_dot_sparse(r, col_idx, col_val);
+                        acc += flat.row_dot_sparse(r, col_idx, col_val);
                     }
                     std::hint::black_box(acc)
                 });
             });
         }
-        for (layout_label, store) in [("flat", flat), ("blocked", blocked)] {
-            for (kernel_label, kernel) in host_kernels() {
-                group.bench_function(format!("{layout_label}_{kernel_label}"), |b| {
-                    b.iter(|| sweep(store, kernel, rows, col, &mut scratch));
-                });
-            }
-        }
+        group.bench_function("flat_scalar", |b| {
+            b.iter(|| {
+                let acc: f64 = rows.iter().map(|&r| flat.row_dot_scattered(r, col)).sum();
+                std::hint::black_box(acc)
+            });
+        });
+        group.bench_function("blocked_scalar", |b| {
+            b.iter(|| {
+                let acc: f64 =
+                    rows.iter().map(|&r| blocked.row_dot_scattered_counting(r, col).0).sum();
+                std::hint::black_box(acc)
+            });
+        });
         group.finish();
     }
 
@@ -245,14 +197,12 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    // The PR 1 path: reused Searcher, scalar gather, whole BFS tree
-    // drained before the search loop — measured on the *flat* layout it
-    // was built for, in-run.
+    // The eager search (whole BFS tree drained before the search loop)
+    // and the lazy production search, each on one reused Searcher.
     {
-        let mut searcher =
-            Searcher::with_kernel(&flat_index, GatherKernel::Scalar).expect("scalar");
+        let mut searcher = index.searcher();
         let mut out = TopKResult::default();
-        group.bench_function("eager_reused_scalar_flat", |b| {
+        group.bench_function("eager_reused", |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &q in &queries {
@@ -262,30 +212,7 @@ fn bench(c: &mut Criterion) {
                 std::hint::black_box(total)
             });
         });
-    }
-
-    // One reused lazy Searcher per kernel on the default (blocked) layout
-    // — the serving configuration — plus the flat/adaptive twin so the
-    // layout's own contribution is visible.
-    for (label, kernel) in host_kernels() {
-        let mut searcher = Searcher::with_kernel(&index, kernel).expect("host kernel");
-        let mut out = TopKResult::default();
-        group.bench_function(format!("lazy_reused_{label}"), |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &q in &queries {
-                    searcher.top_k_into(q, k, &mut out).expect("query");
-                    total += out.items.len();
-                }
-                std::hint::black_box(total)
-            });
-        });
-    }
-    {
-        let mut searcher =
-            Searcher::with_kernel(&flat_index, GatherKernel::Adaptive).expect("adaptive");
-        let mut out = TopKResult::default();
-        group.bench_function("lazy_adaptive_flat", |b| {
+        group.bench_function("lazy_reused", |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &q in &queries {
@@ -299,7 +226,7 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // Light queries (k = 5): Lemma 2 fires after a couple of layers, so
-    // the *traversal* — not the gather kernel — is the per-query cost.
+    // the *traversal* — not the gather — is the per-query cost.
     let mut light = c.benchmark_group("query_engine_k5");
     light.sample_size(20);
     {
@@ -318,7 +245,7 @@ fn bench(c: &mut Criterion) {
              ({:.1}% of the eager traversal)",
             100.0 * expanded as f64 / full.max(1) as f64
         );
-        light.bench_function("eager_reused_adaptive", |b| {
+        light.bench_function("eager_reused", |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &q in &queries {
@@ -328,7 +255,7 @@ fn bench(c: &mut Criterion) {
                 std::hint::black_box(total)
             });
         });
-        light.bench_function("lazy_reused_adaptive", |b| {
+        light.bench_function("lazy_reused", |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &q in &queries {

@@ -48,7 +48,7 @@
 //!   iterative definition (default 2; 0 disables).
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::{GatherKernel, IndexBuilder, KdashError, NodeOrdering, Searcher, TopKResult};
+use kdash_core::{IndexBuilder, KdashError, NodeOrdering, Searcher, TopKResult};
 use kdash_datagen::{rmat, RmatParams};
 use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
 use std::time::Instant;
@@ -160,8 +160,7 @@ fn main() {
             if index.needs_refinement() { "required" } else { "not required (classic path)" },
         );
 
-        let mut searcher =
-            Searcher::with_kernel(&index, GatherKernel::Adaptive).expect("adaptive kernel");
+        let mut searcher = Searcher::new(&index);
         // One warm-up query so the workspace allocations don't land in
         // the first measured trial.
         let _ = searcher.top_k(queries[0], k);

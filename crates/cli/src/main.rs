@@ -3,8 +3,7 @@
 //! ```text
 //! kdash build  <edges.txt> <index.kdash> [--c 0.95] [--ordering hybrid] [--threads 1]
 //!              [--drop-tol 0]
-//! kdash query  <index.kdash> <node> [--k 5] [--set n1,n2,...]
-//!              [--kernel auto] [--pruning on]
+//! kdash query  <index.kdash> <node> [--k 5] [--set n1,n2,...] [--pruning on]
 //! kdash update --index <index.kdash> --edits <edits.txt> [--out FILE] [--threads 1]
 //!              [--coalesce] [--dry-run] [--journal]
 //! kdash recover <index.kdash> [--journal PATH] [--out FILE]
@@ -30,10 +29,7 @@
 //! rather than returning a silently approximate answer. `--drop-tol 0`
 //! (the default) is bit-identical to the dense-exact build.
 //!
-//! `query` selects its gather kernel with `--kernel
-//! {scalar,unrolled,simd,auto}` (a selector the host CPU cannot honour is
-//! a typed error; only `auto` falls back) and prints the per-query work
-//! counters, including the lazy-BFS `frontier_expanded`/`discovered`
+//! `query` prints the per-query work counters, including the lazy-BFS `frontier_expanded`/`discovered`
 //! pair — on early-terminated queries `discovered` is the
 //! discovered-so-far count, not full reachability (see
 //! `kdash_core::SearchStats`). `--pruning off` disables the Lemma 2
@@ -108,8 +104,8 @@
 //! copy.
 
 use kdash_core::{
-    save_atomic, BuildStage, GatherKernel, IndexAudit, IndexBuilder, IndexOptions, KdashIndex,
-    NodeOrdering, RowLayout, Searcher,
+    save_atomic, BuildStage, IndexAudit, IndexBuilder, IndexOptions, KdashIndex, NodeOrdering,
+    Searcher,
 };
 use kdash_datagen::DatasetProfile;
 use kdash_dynamic::{DynamicIndex, Journal, RecoveryReport, UpdateBatch};
@@ -154,7 +150,7 @@ fn print_usage() {
          \x20 kdash build  <edges.txt> <index.kdash> [--c 0.95] [--ordering hybrid] [--threads 1]\n\
          \x20              [--drop-tol 0]\n\
          \x20 kdash query  <index.kdash> <node> [--k 5] [--set n1,n2,...] [--theta T]\n\
-         \x20              [--kernel auto] [--pruning on]\n\
+         \x20              [--pruning on]\n\
          \x20 kdash update --index <index.kdash> --edits <edits.txt> [--out FILE] [--threads 1]\n\
          \x20              [--coalesce] [--dry-run] [--journal]\n\
          \x20 kdash recover <index.kdash> [--journal PATH] [--out FILE]\n\
@@ -168,8 +164,6 @@ fn print_usage() {
          ORDERINGS: natural random degree community (= cluster) hybrid rcm mindegree\n\
          PROFILES:  dictionary internet citation social email\n\
          THREADS:   inversion-stage workers; 0 = all cores, results identical at any count\n\
-         KERNELS:   scalar unrolled simd auto — proximity gather kernel; 'simd' errors on\n\
-         \x20          hosts without AVX2, only 'auto' falls back\n\
          PRUNING:   on (Lemma 2 early termination) | off (visit every reachable node)\n\
          DROP-TOL:  inverse entries below this magnitude are dropped at build time;\n\
          \x20          queries then run certified residual refinement — top-k sets and\n\
@@ -258,18 +252,16 @@ fn parse_ordering(text: &str) -> Result<NodeOrdering, String> {
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args, &[])?;
-    reject_unknown_flags(&flags, &["c", "ordering", "threads", "layout", "drop-tol"])?;
+    reject_unknown_flags(&flags, &["c", "ordering", "threads", "drop-tol"])?;
     let [edges_path, index_path] = pos.as_slice() else {
         return Err("usage: kdash build <edges.txt> <index.kdash> [--c 0.95] [--ordering hybrid] \
-                    [--threads 1] [--layout blocked] [--drop-tol 0]"
+                    [--threads 1] [--drop-tol 0]"
             .into());
     };
     let c: f64 = flag(&flags, "c").unwrap_or("0.95").parse().map_err(|_| "invalid --c")?;
     let ordering = parse_ordering(flag(&flags, "ordering").unwrap_or("hybrid"))?;
     let threads: usize =
         flag(&flags, "threads").unwrap_or("1").parse().map_err(|_| "invalid --threads")?;
-    let layout: RowLayout =
-        flag(&flags, "layout").unwrap_or("blocked").parse().map_err(|e| format!("{e}"))?;
     let drop_tolerance: f64 =
         flag(&flags, "drop-tol").unwrap_or("0").parse().map_err(|_| "invalid --drop-tol")?;
 
@@ -280,7 +272,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let builder = IndexBuilder::from_options(IndexOptions {
         ordering,
         restart_probability: c,
-        layout,
         drop_tolerance,
         ..Default::default()
     })
@@ -302,11 +293,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         println!("stage {:<14} {:>12.2?}{extra}", timing.stage.name(), timing.duration);
     }
     println!(
-        "built index in {:.2?} ({} ordering, {} layout, inverse nnz/m = {:.1}, U⁻¹ index \
-         {:.2} B/nnz)",
+        "built index in {:.2?} ({} ordering, inverse nnz/m = {:.1}, U⁻¹ index {:.2} B/nnz)",
         report.total(),
         ordering.name(),
-        index.layout().name(),
         index.stats().inverse_nnz_ratio(),
         index.stats().uinv_index_bytes as f64 / index.stats().nnz_u_inv.max(1) as f64,
     );
@@ -332,25 +321,21 @@ fn load_index(path: &str) -> Result<KdashIndex, String> {
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args, &[])?;
-    reject_unknown_flags(&flags, &["k", "set", "theta", "kernel", "pruning"])?;
+    reject_unknown_flags(&flags, &["k", "set", "theta", "pruning"])?;
     let [index_path, node_text] = pos.as_slice() else {
         return Err("usage: kdash query <index.kdash> <node> [--k 5] [--set n1,n2,...] [--theta T] \
-                    [--kernel auto] [--pruning on]"
+                    [--pruning on]"
             .into());
     };
     let q: u32 = node_text.parse().map_err(|_| "invalid node id")?;
     let k: usize = flag(&flags, "k").unwrap_or("5").parse().map_err(|_| "invalid --k")?;
-    let kernel: GatherKernel =
-        flag(&flags, "kernel").unwrap_or("adaptive").parse().map_err(|e| format!("{e}"))?;
     let pruning = match flag(&flags, "pruning").unwrap_or("on") {
         "on" => true,
         "off" => false,
         other => return Err(format!("invalid --pruning '{other}' (expected on or off)")),
     };
     let index = load_index(index_path)?;
-    // An unsupported explicit selector (e.g. --kernel simd without AVX2)
-    // surfaces here as a typed KdashError, before any query work runs.
-    let mut searcher = Searcher::with_kernel(&index, kernel).map_err(|e| e.to_string())?;
+    let mut searcher = Searcher::new(&index);
 
     let t = Instant::now();
     let result = if let Some(theta_text) = flag(&flags, "theta") {
@@ -383,25 +368,20 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     // search ran to completion, a lower bound after early termination
     // (the lazy frontier never enumerates layers Lemma 2 pruned away).
     println!(
-        "-- {:?}; kernel {}; visited {}, computed {}, frontier expanded {}/{} discovered, \
+        "-- {:?}; visited {}, computed {}, frontier expanded {}/{} discovered, \
          early-termination {}",
         elapsed,
-        searcher.kernel().name(),
         s.visited,
         s.proximity_computations,
         s.frontier_expanded,
         s.reachable,
         s.terminated_early
     );
-    // The adaptive policy's observability line: which kernel class ran
-    // each candidate row, and what the gathers streamed (value bytes per
-    // the fixed accounting model — machine-independent).
+    // What the gathers streamed (value bytes per the fixed accounting
+    // model — machine-independent).
     println!(
-        "-- gather: kernel resolved {}; rows scalar {}, rows wide {}; index bytes {}, value \
-         bytes {} (model)",
-        if s.kernel.is_empty() { "n/a" } else { s.kernel },
+        "-- gather: rows {}; index bytes {}, value bytes {} (model)",
         s.rows_scalar,
-        s.rows_wide,
         s.bytes_touched,
         s.value_bytes_touched,
     );
@@ -1126,7 +1106,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     println!("nnz(U⁻¹)           {}", s.nnz_u_inv);
     println!("inverse nnz / m    {:.2}", s.inverse_nnz_ratio());
     println!("inverse heap bytes {}", s.inverse_heap_bytes);
-    println!("U⁻¹ row layout     {}", index.layout().name());
     println!(
         "U⁻¹ index bytes    {} ({:.2} B/nnz; flat CSR would be 4.00)",
         s.uinv_index_bytes,
@@ -1206,4 +1185,24 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         graph.num_edges()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The removed `--kernel` and `--layout` flags fail through the
+    /// unknown-flag check, before any file is opened.
+    #[test]
+    fn removed_flags_are_rejected() {
+        let err = cmd_query(&args(&["missing.kdash", "3", "--kernel", "scalar"])).unwrap_err();
+        assert!(err.starts_with("unknown flag --kernel"), "{err}");
+        let err =
+            cmd_build(&args(&["missing.txt", "missing.kdash", "--layout", "flat"])).unwrap_err();
+        assert!(err.starts_with("unknown flag --layout"), "{err}");
+    }
 }

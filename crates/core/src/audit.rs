@@ -13,11 +13,9 @@
 //! * `L⁻¹` is genuinely lower triangular with an exact unit diagonal
 //!   leading every column (the scatter path assumes `x_q = 1`);
 //! * `U⁻¹` is genuinely upper triangular with a nonzero diagonal leading
-//!   every row, and — in the blocked layout — the run encoding obeys the
-//!   decode contract (aligned anchors, full coverage, strictly ascending
-//!   decoded columns);
-//! * the per-row policy stats and `max_row_nnz` agree with the rows they
-//!   summarise (a wrong table mis-steers the adaptive kernel);
+//!   every row, and its blocked run encoding obeys the decode contract
+//!   (aligned anchors, full coverage, strictly ascending decoded
+//!   columns);
 //! * the estimator constants are **bit-identical** to a recomputation
 //!   from the stored graph — the Lemma 1/2 bounds are only sound for the
 //!   matrix actually indexed;
@@ -30,7 +28,7 @@
 //! and directly through this API.
 
 use crate::KdashIndex;
-use kdash_sparse::{transition_matrix, w_matrix, LuFactors, RowLayout, BLOCK_COLS};
+use kdash_sparse::{transition_matrix, w_matrix, LuFactors, BLOCK_COLS};
 use std::time::{Duration, Instant};
 
 /// Cap on stored findings: a corrupted index tends to violate one
@@ -134,13 +132,12 @@ impl IndexAudit {
     fn run_core(index: &KdashIndex) -> (Vec<AuditSection>, Collector) {
         let mut col = Collector::new();
         let mut sections = Vec::with_capacity(9);
-        let steps: [(&'static str, fn(&KdashIndex, &mut Collector)); 8] = [
+        let steps: [(&'static str, fn(&KdashIndex, &mut Collector)); 7] = [
             ("header", audit_header),
             ("permutation", audit_permutation),
             ("graph", audit_graph),
             ("linv", audit_linv),
             ("uinv", audit_uinv),
-            ("row-stats", audit_row_stats),
             ("estimator", audit_estimator),
             ("sparsify", audit_sparsify),
         ];
@@ -329,84 +326,64 @@ fn audit_linv(index: &KdashIndex, col: &mut Collector) {
 }
 
 /// `U⁻¹` must be upper triangular with a nonzero diagonal leading every
-/// row; in the blocked layout the run encoding must additionally obey the
-/// decode contract (aligned anchors, runs covering exactly the row's
-/// span, strictly ascending decoded columns in bounds).
+/// row, and its blocked run encoding must obey the decode contract
+/// (aligned anchors, runs covering exactly the row's span, strictly
+/// ascending decoded columns in bounds).
 fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "uinv";
-    let store = index.uinv();
-    let n = store.nrows();
-    match store.layout() {
-        RowLayout::Flat => {
-            let Some(csr) = store.as_flat() else {
-                col.check(S, false, || "layout says flat but no flat matrix is stored".into());
-                return;
-            };
-            for r in 0..n as u32 {
-                let (cols, vals) = csr.row(r);
-                audit_uinv_row(S, col, n, r, cols.iter().copied(), vals);
-            }
+    let blocked = index.uinv();
+    let n = blocked.nrows();
+    let (row_ptr, run_ptr, run_base, run_end, deltas, values) = blocked.raw();
+    col.check(
+        S,
+        row_ptr.len() == n + 1
+            && run_ptr.len() == n + 1
+            && run_base.len() == run_end.len()
+            && deltas.len() == values.len()
+            && row_ptr.last() == Some(&deltas.len())
+            && run_ptr.last() == Some(&run_base.len()),
+        || "blocked arrays do not cover each other".to_string(),
+    );
+    let mut decoded: Vec<u32> = Vec::new();
+    for r in 0..n {
+        let (lo, hi) =
+            (row_ptr[r.min(row_ptr.len() - 1)], row_ptr[(r + 1).min(row_ptr.len() - 1)]);
+        let (rlo, rhi) =
+            (run_ptr[r.min(run_ptr.len() - 1)], run_ptr[(r + 1).min(run_ptr.len() - 1)]);
+        if lo > hi || hi > deltas.len() || rlo > rhi || rhi > run_base.len() {
+            col.check(S, false, || format!("row {r}: invalid pointer ranges"));
+            continue;
         }
-        RowLayout::Blocked => {
-            let Some(blocked) = store.as_blocked() else {
-                col.check(S, false, || {
-                    "layout says blocked but no blocked matrix is stored".into()
-                });
-                return;
-            };
-            let (row_ptr, run_ptr, run_base, run_end, deltas, values) = blocked.raw();
-            col.check(
-                S,
-                row_ptr.len() == n + 1
-                    && run_ptr.len() == n + 1
-                    && run_base.len() == run_end.len()
-                    && deltas.len() == values.len()
-                    && row_ptr.last() == Some(&deltas.len())
-                    && run_ptr.last() == Some(&run_base.len()),
-                || "blocked arrays do not cover each other".to_string(),
-            );
-            let mut decoded: Vec<u32> = Vec::new();
-            for r in 0..n {
-                let (lo, hi) =
-                    (row_ptr[r.min(row_ptr.len() - 1)], row_ptr[(r + 1).min(row_ptr.len() - 1)]);
-                let (rlo, rhi) =
-                    (run_ptr[r.min(run_ptr.len() - 1)], run_ptr[(r + 1).min(run_ptr.len() - 1)]);
-                if lo > hi || hi > deltas.len() || rlo > rhi || rhi > run_base.len() {
-                    col.check(S, false, || format!("row {r}: invalid pointer ranges"));
-                    continue;
-                }
-                col.check(S, (lo < hi) == (rlo < rhi), || {
-                    format!("row {r}: runs and nonzeros disagree")
-                });
-                decoded.clear();
-                let mut start = lo;
-                let mut runs_ok = true;
-                for k in rlo..rhi {
-                    let (base, end) = (run_base[k], run_end[k] as usize);
-                    col.check(S, base % BLOCK_COLS == 0, || {
-                        format!("row {r}: unaligned run anchor {base}")
-                    });
-                    if end <= start || end > hi {
-                        col.check(S, false, || format!("row {r}: run end {end} outside row"));
-                        runs_ok = false;
-                        break;
-                    }
-                    for i in start..end {
-                        decoded.push(base + deltas[i] as u32);
-                    }
-                    start = end;
-                }
-                if !runs_ok {
-                    continue;
-                }
-                col.check(S, start == hi, || format!("row {r}: runs do not cover the row"));
-                audit_uinv_row(S, col, n, r as u32, decoded.iter().copied(), &values[lo..hi]);
+        col.check(S, (lo < hi) == (rlo < rhi), || {
+            format!("row {r}: runs and nonzeros disagree")
+        });
+        decoded.clear();
+        let mut start = lo;
+        let mut runs_ok = true;
+        for k in rlo..rhi {
+            let (base, end) = (run_base[k], run_end[k] as usize);
+            col.check(S, base % BLOCK_COLS == 0, || {
+                format!("row {r}: unaligned run anchor {base}")
+            });
+            if end <= start || end > hi {
+                col.check(S, false, || format!("row {r}: run end {end} outside row"));
+                runs_ok = false;
+                break;
             }
+            for i in start..end {
+                decoded.push(base + deltas[i] as u32);
+            }
+            start = end;
         }
+        if !runs_ok {
+            continue;
+        }
+        col.check(S, start == hi, || format!("row {r}: runs do not cover the row"));
+        audit_uinv_row(S, col, n, r as u32, decoded.iter().copied(), &values[lo..hi]);
     }
 }
 
-/// Shared per-row triangularity check for both `U⁻¹` layouts.
+/// Per-row triangularity check of `U⁻¹`.
 fn audit_uinv_row(
     section: &'static str,
     col: &mut Collector,
@@ -441,58 +418,6 @@ fn audit_uinv_row(
     if let Some(first) = vals.first() {
         col.check(section, *first != 0.0, || format!("row {r}: zero diagonal value"));
     }
-}
-
-/// The stored per-row policy table (and the cached `max_row_nnz`) must
-/// describe the rows actually stored — a skewed table silently steers the
-/// adaptive kernel into the wrong gather strategy.
-fn audit_row_stats(index: &KdashIndex, col: &mut Collector) {
-    const S: &str = "row-stats";
-    let store = index.uinv();
-    let n = store.nrows();
-    let stats = store.row_stats();
-    col.check(S, stats.len() == n, || {
-        format!("stats table has {} rows, store has {n}", stats.len())
-    });
-    let mut max_nnz = 0usize;
-    for r in 0..n.min(stats.len()) {
-        let stat = stats[r];
-        max_nnz = max_nnz.max(stat.nnz as usize);
-        let (nnz, first, last) = match store.layout() {
-            RowLayout::Flat => match store.as_flat() {
-                Some(csr) => {
-                    let (cols, _) = csr.row(r as u32);
-                    (cols.len(), cols.first().copied(), cols.last().copied())
-                }
-                None => continue,
-            },
-            RowLayout::Blocked => match store.as_blocked() {
-                Some(b) => {
-                    let r = r as u32;
-                    (b.row_nnz(r), b.row_first_col(r), b.row_last_col(r))
-                }
-                None => continue,
-            },
-        };
-        col.check(S, stat.nnz as usize == nnz, || {
-            format!("row {r}: stat nnz {} but {nnz} stored entries", stat.nnz)
-        });
-        if nnz > 0 {
-            col.check(
-                S,
-                first == Some(stat.first) && last == Some(stat.last),
-                || {
-                    format!(
-                        "row {r}: stat span [{}, {}] but stored span [{:?}, {:?}]",
-                        stat.first, stat.last, first, last
-                    )
-                },
-            );
-        }
-    }
-    col.check(S, store.max_row_nnz() == max_nnz, || {
-        format!("cached max_row_nnz {} but widest row has {max_nnz}", store.max_row_nnz())
-    });
 }
 
 /// The estimator constants must be **bit-identical** to a recomputation
@@ -729,18 +654,9 @@ mod tests {
     fn fresh_index_audits_clean() {
         let audit = IndexAudit::run(&sample_index());
         assert!(audit.is_clean(), "findings: {:?}", audit.findings);
-        assert_eq!(audit.sections.len(), 8);
+        assert_eq!(audit.sections.len(), 7);
         assert!(audit.sections.iter().all(|s| s.checks > 0));
         assert!(audit.clone().into_result().is_ok());
-    }
-
-    #[test]
-    fn both_layouts_audit_clean() {
-        let index = sample_index();
-        for layout in [RowLayout::Flat, RowLayout::Blocked] {
-            let audit = IndexAudit::run(&index.with_layout(layout));
-            assert!(audit.is_clean(), "{layout:?}: {:?}", audit.findings);
-        }
     }
 
     #[test]
@@ -763,8 +679,8 @@ mod tests {
             sample_index_with(IndexOptions { keep_factors: true, ..Default::default() });
         let audit = IndexAudit::run_with_factors(&index, None);
         assert!(audit.is_clean(), "findings: {:?}", audit.findings);
-        assert_eq!(audit.sections.len(), 9);
-        let last = &audit.sections[8];
+        assert_eq!(audit.sections.len(), 8);
+        let last = &audit.sections[7];
         assert_eq!(last.name, "factors");
         assert!(last.checks > 0, "factors present ⇒ checks must run");
     }
@@ -773,8 +689,8 @@ mod tests {
     fn absent_factors_report_a_zero_check_section() {
         let audit = IndexAudit::run_with_factors(&sample_index(), None);
         assert!(audit.is_clean());
-        assert_eq!(audit.sections.len(), 9);
-        let last = &audit.sections[8];
+        assert_eq!(audit.sections.len(), 8);
+        let last = &audit.sections[7];
         assert_eq!(last.name, "factors");
         assert_eq!(last.checks, 0, "no factors ⇒ section is skipped, not failed");
     }

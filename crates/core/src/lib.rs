@@ -109,7 +109,7 @@
 //! [`KdashIndex::update_epoch`] counts applied batches (persisted from
 //! index-format v3).
 //!
-//! Four hot-path levers live on the index and its `Searcher`:
+//! Three hot-path levers live on the index and its `Searcher`:
 //!
 //! * **Lazy frontier** — BFS layers are discovered on demand inside the
 //!   search loop, so a query the Lemma 2 bound terminates early never
@@ -117,26 +117,13 @@
 //!   [`SearchStats::frontier_expanded`] reports the traversal work paid;
 //!   [`SearchStats::reachable`] is the discovered-so-far count on
 //!   early-terminated queries (exact reachability on complete runs).
-//! * **Blocked index layout** — the stored `U⁻¹` encodes column indices
-//!   as `u16` deltas against aligned block anchors
-//!   ([`RowLayout::Blocked`], the default): ~half the index bytes of
-//!   flat CSR on the fill-dominated inverse rows, bit-identical values
-//!   and answers ([`IndexOptions::layout`](precompute::IndexOptions),
-//!   pinned by `tests/layout_equivalence.rs`).
-//! * **Gather kernels** — proximities run through a runtime-selected
-//!   kernel ([`GatherKernel`]: `scalar`, `unrolled`, `simd`, `auto`,
-//!   `adaptive`). The wide kernels are bit-identical to each other on
-//!   every row (AVX2 and the portable 4-accumulator unrolled kernel
-//!   share one reduction order), so answers are deterministic across
-//!   machines; a selector the host cannot honour is a typed
-//!   [`KdashError::UnsupportedKernel`], and only `auto`/`adaptive` fall
-//!   back. `Adaptive` — the recommended default — picks scalar or wide
-//!   *per candidate row* from build-time row stats and the query
-//!   column's density profile: a pure function of index + query, never
-//!   the machine, so the kernel-class choice (and with it every byte
-//!   counter in [`SearchStats`]) is host-independent. The resolution and
-//!   the per-class row split are recorded in [`SearchStats`] for
-//!   reproducibility.
+//! * **Blocked `U⁻¹` encoding, one gather** — the stored `U⁻¹` encodes
+//!   column indices as `u16` deltas against aligned block anchors
+//!   ([`kdash_sparse::BlockedCsr`]): ~half the index bytes of flat CSR on
+//!   the fill-dominated inverse rows. Every proximity is one scalar,
+//!   stamp-checked gather of a blocked row against the scattered query
+//!   column, bit-identical to the merge join; the per-query byte traffic
+//!   and gathered-row count are recorded in [`SearchStats`].
 //! * **Prefetched candidate batching** — the search loops prefetch the
 //!   next block of candidate rows' index/value spans while the current
 //!   row gathers, restoring memory-level parallelism on DRAM-resident
@@ -200,8 +187,8 @@
 //!   [`persist::LoadInfo`].
 //! * **Deep auditing** — [`audit::IndexAudit::run`] re-verifies every
 //!   structural invariant of a loaded or patched index (triangularity,
-//!   permutation bijectivity, blocked-layout encoding, row stats,
-//!   estimator constants recomputed bit-for-bit). Exposed as
+//!   permutation bijectivity, blocked `U⁻¹` encoding, estimator constants
+//!   recomputed bit-for-bit). Exposed as
 //!   `kdash verify <index>` and as an opt-in post-update check on the
 //!   dynamic engine (`DynamicIndex::verify_after_apply`).
 //! * **Batch failure isolation** — [`batch_top_k_outcomes`] wraps every
@@ -265,10 +252,7 @@ pub mod searcher;
 pub mod stats;
 
 pub use audit::{AuditFinding, AuditSection, IndexAudit};
-pub use batch::{
-    batch_top_k, batch_top_k_outcomes, batch_top_k_with_kernel, BatchOptions, BatchOutcome,
-    IsolatedExecutor,
-};
+pub use batch::{batch_top_k, batch_top_k_outcomes, BatchOptions, BatchOutcome, IsolatedExecutor};
 pub use estimator::{ArbitraryOrderBound, LayerEstimator};
 pub use ordering::{compute_ordering, compute_ordering_with_stats, NodeOrdering, OrderingStats};
 pub use fault::{CrashPlan, FaultInjector, NoFaults, WriteRuling};
@@ -281,11 +265,6 @@ pub use search::{RankedNode, TopKResult};
 pub use searcher::{BudgetLimit, QueryBudget, Searcher};
 pub use stats::{IndexStats, SearchStats};
 
-/// The gather-kernel selector and the `U⁻¹` row-layout selector,
-/// re-exported so callers picking a kernel or layout (CLI, serving
-/// loops) need not depend on `kdash-sparse` directly.
-pub use kdash_sparse::{GatherKernel, ResolvedKernel, RowLayout};
-
 /// Errors surfaced by index construction and queries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KdashError {
@@ -296,11 +275,6 @@ pub enum KdashError {
     /// A restart-set query received an empty set, a duplicate node, or an
     /// otherwise unusable source set.
     InvalidRestartSet { reason: String },
-    /// A [`GatherKernel`] selector the host CPU cannot honour (e.g.
-    /// `simd` on a machine without AVX2), or an unknown selector spelling.
-    /// Only [`GatherKernel::Auto`] falls back; explicit requests fail
-    /// typed rather than silently downgrading.
-    UnsupportedKernel { requested: String, reason: String },
     /// Propagated graph error.
     Graph(kdash_graph::GraphError),
     /// Propagated sparse-kernel error.
@@ -348,9 +322,6 @@ impl std::fmt::Display for KdashError {
             }
             KdashError::InvalidRestartSet { reason } => {
                 write!(f, "invalid restart set: {reason}")
-            }
-            KdashError::UnsupportedKernel { requested, reason } => {
-                write!(f, "gather kernel '{requested}' unavailable on this host: {reason}")
             }
             KdashError::Graph(e) => write!(f, "graph error: {e}"),
             KdashError::Sparse(e) => write!(f, "sparse error: {e}"),
@@ -407,14 +378,7 @@ impl From<kdash_graph::GraphError> for KdashError {
 
 impl From<kdash_sparse::SparseError> for KdashError {
     fn from(e: kdash_sparse::SparseError) -> Self {
-        match e {
-            // Kernel-selection failures surface as the first-class query
-            // error, not as a generic propagated sparse error.
-            kdash_sparse::SparseError::UnsupportedKernel { requested, reason } => {
-                KdashError::UnsupportedKernel { requested, reason }
-            }
-            other => KdashError::Sparse(other),
-        }
+        KdashError::Sparse(e)
     }
 }
 

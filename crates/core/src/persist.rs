@@ -38,19 +38,21 @@
 //!   **layout tag** selects how `U⁻¹` is encoded — flat CSC transpose
 //!   arrays (as v1) or the blocked arrays of
 //!   [`kdash_sparse::BlockedCsr`] (run anchors + `u16` deltas, the
-//!   bandwidth-lean on-disk *and* in-memory form). A packed per-row
-//!   **policy-stats section** ([`kdash_sparse::RowStat`]) follows; on
-//!   load it is checked against the stats recomputed from the arrays, so
-//!   a corrupted stats section is rejected rather than silently steering
-//!   the adaptive kernel policy wrong.
+//!   bandwidth-lean on-disk *and* in-memory form). The writer always
+//!   emits the blocked tag; a flat-tagged section still loads and is
+//!   re-encoded blocked. A packed **row-stats section** follows: per row
+//!   of `U⁻¹`, its stored-entry count and first and last column
+//!   (`u32` each, zeros for an empty row), computed from the rows at save
+//!   time. On load it is checked against the same stats recomputed from
+//!   the arrays, so a corrupted section is rejected.
 //! * **v1**: the flat-only format of earlier releases. Still loads — the
-//!   matrix is upgraded to the blocked layout on read, so old index files
-//!   transparently gain the new read path. ([`KdashIndex::save_v1`]
+//!   matrix is re-encoded blocked on read, so old index files
+//!   transparently gain the blocked read path. ([`KdashIndex::save_v1`]
 //!   remains, hidden, so the compatibility path stays testable.)
 
 use crate::{KdashIndex, NodeOrdering};
 use kdash_graph::{CsrGraph, Permutation};
-use kdash_sparse::{BlockedCsr, CscMatrix, CsrMatrix, ProximityStore, RowLayout, RowStat};
+use kdash_sparse::{BlockedCsr, CscMatrix, CsrMatrix, Index};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -81,7 +83,7 @@ pub enum Section {
     Linv,
     /// `U⁻¹` under its row-layout tag (flat CSC transpose or blocked).
     Uinv,
-    /// The packed per-row policy stats.
+    /// The packed per-row stats of `U⁻¹` (nnz, first and last column).
     RowStats,
     /// The estimator constants (`A_max(v)`, `A_max`, `c'`).
     Estimator,
@@ -553,8 +555,8 @@ impl<R: Read> SectionReader<R> {
 
 impl KdashIndex {
     /// Serialises the index in the current (v5, checksummed) format,
-    /// preserving the row layout and the update epoch. The raw LU factors
-    /// (if kept) are not persisted — reload yields an index without the
+    /// preserving the update epoch. The raw LU factors (if kept) are not
+    /// persisted — reload yields an index without the
     /// `proximities_via_factors` ablation path (the dynamic engine
     /// refactorises once on attach instead).
     ///
@@ -628,43 +630,25 @@ impl KdashIndex {
         write_csc(&mut w, self.linv())?;
         marks.push((Section::Linv.name(), w.end_section()?));
 
-        // U⁻¹ under its layout tag.
+        // U⁻¹ under the blocked tag.
         let uinv = self.uinv_rows();
-        match uinv.layout() {
-            RowLayout::Flat => {
-                w.write_all(&[LAYOUT_FLAT])?;
-                write_csc(&mut w, &uinv.to_csc())?;
-            }
-            RowLayout::Blocked => {
-                w.write_all(&[LAYOUT_BLOCKED])?;
-                match uinv.as_blocked() {
-                    Some(blocked) => {
-                        let (row_ptr, run_ptr, run_base, run_end, deltas, values) = blocked.raw();
-                        write_usize_slice(&mut w, row_ptr)?;
-                        write_u64(&mut w, run_base.len() as u64)?;
-                        write_usize_slice(&mut w, run_ptr)?;
-                        write_u32_slice(&mut w, run_base)?;
-                        write_u32_slice(&mut w, run_end)?;
-                        write_u64(&mut w, deltas.len() as u64)?;
-                        write_u16_slice(&mut w, deltas)?;
-                        write_f64_slice(&mut w, values)?;
-                    }
-                    None => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            "layout tag says blocked but the store holds no blocked matrix",
-                        ))
-                    }
-                }
-            }
-        }
+        w.write_all(&[LAYOUT_BLOCKED])?;
+        let (row_ptr, run_ptr, run_base, run_end, deltas, values) = uinv.raw();
+        write_usize_slice(&mut w, row_ptr)?;
+        write_u64(&mut w, run_base.len() as u64)?;
+        write_usize_slice(&mut w, run_ptr)?;
+        write_u32_slice(&mut w, run_base)?;
+        write_u32_slice(&mut w, run_end)?;
+        write_u64(&mut w, deltas.len() as u64)?;
+        write_u16_slice(&mut w, deltas)?;
+        write_f64_slice(&mut w, values)?;
         marks.push((Section::Uinv.name(), w.end_section()?));
 
-        // The per-row policy stats the adaptive kernel reads.
-        for stat in uinv.row_stats() {
-            write_u32(&mut w, stat.nnz)?;
-            write_u32(&mut w, stat.first)?;
-            write_u32(&mut w, stat.last)?;
+        // The per-row stats of U⁻¹, computed from the rows.
+        for r in 0..uinv.nrows() as Index {
+            for field in row_stat(uinv, r) {
+                write_u32(&mut w, field)?;
+            }
         }
         marks.push((Section::RowStats.name(), w.end_section()?));
 
@@ -722,7 +706,7 @@ impl KdashIndex {
         write_u32_slice(&mut w, col_idx)?;
         write_f64_slice(&mut w, weights)?;
         write_csc(&mut w, self.linv())?;
-        write_csc(&mut w, &self.uinv_rows().to_csc())?;
+        write_csc(&mut w, &self.uinv_rows().to_csr().to_csc())?;
         self.write_estimator(&mut w)
     }
 
@@ -736,10 +720,11 @@ impl KdashIndex {
 
     /// Deserialises an index previously written by [`save`](Self::save)
     /// (any version 1–4), re-validating all structural invariants and —
-    /// for v4 files — every integrity checksum. A v1 file's flat `U⁻¹` is
-    /// upgraded to the blocked layout on read (bit-identical values, so
-    /// bit-identical answers). Build-time statistics are not stored; the
-    /// loaded index reports zero durations with the correct nnz counts.
+    /// for v4 files — every integrity checksum. A flat `U⁻¹` (v1, or a
+    /// flat-tagged v2+ section) is re-encoded blocked on read
+    /// (bit-identical values, so bit-identical answers). Build-time
+    /// statistics are not stored; the loaded index reports zero durations
+    /// with the correct nnz counts.
     pub fn load<R: Read>(r: R) -> Result<KdashIndex, PersistError> {
         Self::load_with_info(r).map(|(index, _)| index)
     }
@@ -802,27 +787,21 @@ impl KdashIndex {
         r.end_section(Section::Linv)?;
         let linv = build_csc(n, linv_arrays, Section::Linv, r.offset())?;
 
-        // U⁻¹.
-        let uinv = if version == 1 {
-            // Legacy flat encoding: upgrade to the blocked layout.
-            let arrays = read_csc_arrays(&mut r, Section::Uinv, n)?;
+        // U⁻¹. A flat encoding (v1, or the flat tag) is re-encoded blocked.
+        let read_flat = |r: &mut SectionReader<R>| -> Result<BlockedCsr, PersistError> {
+            let arrays = read_csc_arrays(r, Section::Uinv, n)?;
             r.end_section(Section::Uinv)?;
             let flat = CsrMatrix::from_csc(&build_csc(n, arrays, Section::Uinv, r.offset())?);
-            ProximityStore::from_csr(flat, RowLayout::Blocked)
-                .map_err(|e| corrupt(Section::Uinv, r.offset(), format!("corrupt U⁻¹: {e}")))?
+            BlockedCsr::from_csr(flat)
+                .map_err(|e| corrupt(Section::Uinv, r.offset(), format!("corrupt U⁻¹: {e}")))
+        };
+        let uinv = if version == 1 {
+            read_flat(&mut r)?
         } else {
             let tag_at = r.offset();
             let layout_tag = r.u8(Section::Uinv)?;
             match layout_tag {
-                LAYOUT_FLAT => {
-                    let arrays = read_csc_arrays(&mut r, Section::Uinv, n)?;
-                    r.end_section(Section::Uinv)?;
-                    let flat =
-                        CsrMatrix::from_csc(&build_csc(n, arrays, Section::Uinv, r.offset())?);
-                    ProximityStore::from_csr(flat, RowLayout::Flat).map_err(|e| {
-                        corrupt(Section::Uinv, r.offset(), format!("corrupt U⁻¹: {e}"))
-                    })?
-                }
+                LAYOUT_FLAT => read_flat(&mut r)?,
                 LAYOUT_BLOCKED => {
                     // The count fields are untrusted on-disk data: they
                     // are cross-checked against the pointer arrays here,
@@ -864,13 +843,12 @@ impl KdashIndex {
                     let deltas = r.u16_vec(Section::Uinv, nnz)?;
                     let values = r.f64_vec(Section::Uinv, nnz)?;
                     r.end_section(Section::Uinv)?;
-                    let blocked = BlockedCsr::from_raw_parts(
+                    BlockedCsr::from_raw_parts(
                         n, n, b_row_ptr, run_ptr, run_base, run_end, deltas, values,
                     )
                     .map_err(|e| {
                         corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
-                    })?;
-                    ProximityStore::from_blocked(blocked)
+                    })?
                 }
                 other => {
                     return Err(corrupt(
@@ -882,18 +860,17 @@ impl KdashIndex {
             }
         };
 
-        // The persisted policy stats (v2+) must match the arrays they
-        // claim to describe: a mismatch means either section is corrupt,
-        // and a wrong table would silently mis-steer the adaptive kernel.
+        // The persisted row stats (v2+) must match the arrays they claim
+        // to describe: a mismatch means either section is corrupt.
         if version >= 2 {
-            for (i, expect) in uinv.row_stats().iter().enumerate() {
+            for i in 0..n as Index {
                 let at = r.offset();
-                let got = RowStat {
-                    nnz: r.u32(Section::RowStats)?,
-                    first: r.u32(Section::RowStats)?,
-                    last: r.u32(Section::RowStats)?,
-                };
-                if got != *expect {
+                let got = [
+                    r.u32(Section::RowStats)?,
+                    r.u32(Section::RowStats)?,
+                    r.u32(Section::RowStats)?,
+                ];
+                if got != row_stat(&uinv, i) {
                     return Err(corrupt(
                         Section::RowStats,
                         at,
@@ -1064,6 +1041,15 @@ pub fn save_atomic_with<P: AsRef<Path>>(
     result
 }
 
+/// Row `r`'s persisted stats: stored entries, first and last column
+/// (zeros for an empty row).
+fn row_stat(uinv: &BlockedCsr, r: Index) -> [u32; 3] {
+    match (uinv.row_first_col(r), uinv.row_last_col(r)) {
+        (Some(first), Some(last)) => [uinv.row_nnz(r) as u32, first, last],
+        _ => [0; 3],
+    }
+}
+
 fn write_csc<W: Write>(w: &mut W, csc: &CscMatrix) -> io::Result<()> {
     let (col_ptr, row_idx, values) = csc.raw();
     write_usize_slice(w, col_ptr)?;
@@ -1201,7 +1187,6 @@ mod tests {
         assert_eq!(loaded.num_nodes(), index.num_nodes());
         assert_eq!(loaded.restart_probability(), index.restart_probability());
         assert_eq!(loaded.ordering(), index.ordering());
-        assert_eq!(loaded.layout(), index.layout());
         for q in [0u32, 13, 39] {
             let a = index.top_k(q, 7).unwrap();
             let b = loaded.top_k(q, 7).unwrap();
@@ -1213,39 +1198,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_layout_roundtrips_as_flat() {
-        let g = {
-            let mut b = GraphBuilder::new(20);
-            for v in 0..20u32 {
-                b.add_edge(v, (v + 1) % 20, 1.0);
-                b.add_edge(v, (v + 5) % 20, 0.5);
-            }
-            b.build().unwrap()
-        };
-        let index = KdashIndex::build(
-            &g,
-            IndexOptions { layout: RowLayout::Flat, ..Default::default() },
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-        let loaded = KdashIndex::load(buf.as_slice()).unwrap();
-        assert_eq!(loaded.layout(), RowLayout::Flat);
-        for q in 0..20u32 {
-            let (a, b) = (index.top_k(q, 5).unwrap(), loaded.top_k(q, 5).unwrap());
-            for (x, y) in a.items.iter().zip(&b.items) {
-                assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn v1_files_load_and_upgrade_to_blocked() {
         let index = sample_index();
         let mut v1 = Vec::new();
         index.save_v1(&mut v1).unwrap();
         let loaded = KdashIndex::load(v1.as_slice()).unwrap();
-        assert_eq!(loaded.layout(), RowLayout::Blocked, "v1 upgrades on read");
+        assert_eq!(loaded.uinv_rows(), index.uinv_rows(), "v1 re-encodes blocked on read");
         assert_eq!(loaded.stats().nnz_u_inv, index.stats().nnz_u_inv);
         for q in [0u32, 21, 39] {
             let a = index.top_k(q, 6).unwrap();

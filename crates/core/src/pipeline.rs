@@ -26,8 +26,7 @@ use crate::{IndexOptions, IndexStats, KdashError, KdashIndex, NodeOrdering, Resu
 use kdash_graph::{CsrGraph, NodeId, Permutation};
 use kdash_sparse::{
     sparse_lu_with, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix,
-    validate_drop_tolerance, w_matrix, CsrMatrix, DanglingPolicy, InvertOptions, ProximityStore,
-    RowLayout,
+    validate_drop_tolerance, w_matrix, BlockedCsr, CsrMatrix, DanglingPolicy, InvertOptions,
 };
 use std::time::{Duration, Instant};
 
@@ -168,14 +167,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Row layout of the stored `U⁻¹` (blocked by default — see
-    /// [`RowLayout`]). Results are bit-identical across layouts; only the
-    /// gather path's memory traffic changes.
-    pub fn layout(mut self, layout: RowLayout) -> Self {
-        self.options.layout = layout;
-        self
-    }
-
     /// Pins the node order to an explicit permutation: the ordering stage
     /// skips the heuristic and uses `perm` verbatim (the configured
     /// [`NodeOrdering`] survives only as a label). This is how the
@@ -295,12 +286,11 @@ impl IndexBuilder {
         let estimator_time = t.elapsed();
         report.stages.push(StageTiming { stage: BuildStage::Estimator, duration: estimator_time });
 
-        // Stage 5 — assemble: the per-row policy table, the (blocked by
-        // default) proximity-store encoding of U⁻¹, statistics, and the
-        // final immutable index. The timer covers the assembly itself, so
+        // Stage 5 — assemble: the blocked encoding of U⁻¹, statistics, and
+        // the final immutable index. The timer covers the assembly itself, so
         // it is stamped into the finished index afterwards.
         let t = Instant::now();
-        let uinv = ProximityStore::from_csr(uinv, options.layout)?;
+        let uinv = BlockedCsr::from_csr(uinv)?;
         let stats = IndexStats {
             ordering_time,
             factorization_time,

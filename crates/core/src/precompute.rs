@@ -7,7 +7,7 @@
 
 use crate::{IndexBuilder, IndexStats, KdashError, NodeOrdering, Result};
 use kdash_graph::{CsrGraph, NodeId, Permutation};
-use kdash_sparse::{CscMatrix, DanglingPolicy, LuFactors, ProximityStore, RowLayout};
+use kdash_sparse::{BlockedCsr, CscMatrix, DanglingPolicy, LuFactors};
 
 /// Index construction options. Defaults follow the paper's evaluation:
 /// hybrid reordering, `c = 0.95`, dangling nodes kept as-is.
@@ -23,11 +23,6 @@ pub struct IndexOptions {
     /// enables [`KdashIndex::proximities_via_factors`], the
     /// "solve instead of stored inverses" ablation.
     pub keep_factors: bool,
-    /// Row layout of the stored `U⁻¹` ([`RowLayout::Blocked`] by default:
-    /// ~half the index traffic on the gather hot path, bit-identical
-    /// results — [`RowLayout::Flat`] is kept for cross-layout equivalence
-    /// checks and benchmarks).
-    pub layout: RowLayout,
     /// Drop tolerance `ε` for the stored inverses: entries of `L⁻¹`/`U⁻¹`
     /// below `ε` in magnitude are truncated *during* inversion (before
     /// they propagate), shrinking the index far below the dense-exact
@@ -46,7 +41,6 @@ impl Default for IndexOptions {
             restart_probability: 0.95,
             dangling: DanglingPolicy::Keep,
             keep_factors: false,
-            layout: RowLayout::default(),
             drop_tolerance: 0.0,
         }
     }
@@ -74,10 +68,9 @@ pub struct KdashIndex {
     graph: CsrGraph,
     /// `L⁻¹`, column-major: column `q` is `L⁻¹ e_q`.
     linv: CscMatrix,
-    /// `U⁻¹`, row-major, behind the layout-aware proximity store (blocked
-    /// index encoding by default): a node's proximity is one gather of a
-    /// stored row against the scattered query column.
-    uinv: ProximityStore,
+    /// `U⁻¹`, row-major in the blocked index encoding: a node's proximity
+    /// is one gather of a stored row against the scattered query column.
+    uinv: BlockedCsr,
     /// `A_max(v)` per (permuted) node.
     a_col_max: Vec<f64>,
     /// Global `A_max`.
@@ -119,7 +112,7 @@ pub struct IndexPatch {
     /// `L⁻¹` with the dirty columns re-solved and spliced.
     pub linv: CscMatrix,
     /// `U⁻¹` with the dirty rows re-encoded and spliced.
-    pub uinv: ProximityStore,
+    pub uinv: BlockedCsr,
     /// `A_max(v)` with the dirty entries recomputed.
     pub a_col_max: Vec<f64>,
     /// Global `A_max` over the patched transition matrix.
@@ -156,7 +149,7 @@ pub(crate) struct IndexParts {
     pub perm: Permutation,
     pub graph: CsrGraph,
     pub linv: CscMatrix,
-    pub uinv: ProximityStore,
+    pub uinv: BlockedCsr,
     pub a_col_max: Vec<f64>,
     pub a_max: f64,
     pub c_prime: Vec<f64>,
@@ -232,11 +225,6 @@ impl KdashIndex {
         self.update_epoch
     }
 
-    /// The row layout of the stored `U⁻¹`.
-    pub fn layout(&self) -> RowLayout {
-        self.uinv.layout()
-    }
-
     /// The drop tolerance `ε` the stored inverses were truncated with
     /// (`0.0` for a dense-exact index).
     pub fn drop_tolerance(&self) -> f64 {
@@ -272,18 +260,6 @@ impl KdashIndex {
     #[doc(hidden)]
     pub fn dropped_masses(&self) -> (&[f64], &[f64]) {
         (&self.linv_dropped, &self.uinv_dropped)
-    }
-
-    /// A copy of this index with `U⁻¹` re-encoded into `layout` — values
-    /// bit-identical, every query answer unchanged. Cheap relative to a
-    /// build (`O(nnz)`), so benchmarks and layout-equivalence checks can
-    /// compare both layouts from one expensive construction.
-    pub fn with_layout(&self, layout: RowLayout) -> KdashIndex {
-        let mut copy = self.clone();
-        copy.uinv = self.uinv.relayout(layout);
-        copy.stats.uinv_index_bytes = copy.uinv.index_bytes();
-        copy.stats.inverse_heap_bytes = copy.linv.heap_bytes() + copy.uinv.heap_bytes();
-        copy
     }
 
     /// Build-time statistics (Figure 5/6 quantities).
@@ -432,7 +408,7 @@ impl KdashIndex {
         perm: Permutation,
         graph: CsrGraph,
         linv: CscMatrix,
-        uinv: ProximityStore,
+        uinv: BlockedCsr,
         a_col_max: Vec<f64>,
         a_max: f64,
         c_prime: Vec<f64>,
@@ -578,10 +554,11 @@ impl KdashIndex {
         self.factors.as_ref()
     }
 
-    /// Benchmark/diagnostic access to the stored `U⁻¹` (row-major). Hidden:
-    /// layout and permutation are internal; use the query API for answers.
+    /// Benchmark/diagnostic access to the stored `U⁻¹` (row-major, blocked
+    /// encoding). Hidden: the encoding and permutation are internal; use
+    /// the query API for answers.
     #[doc(hidden)]
-    pub fn uinv_rows(&self) -> &ProximityStore {
+    pub fn uinv_rows(&self) -> &BlockedCsr {
         &self.uinv
     }
 
@@ -623,7 +600,7 @@ impl KdashIndex {
     pub(crate) fn linv(&self) -> &CscMatrix {
         &self.linv
     }
-    pub(crate) fn uinv(&self) -> &ProximityStore {
+    pub(crate) fn uinv(&self) -> &BlockedCsr {
         &self.uinv
     }
     pub(crate) fn a_col_max(&self) -> &[f64] {

@@ -130,7 +130,7 @@ impl KdashIndex {
     ///
     /// Kept as the independent exactness reference for the scatter/gather
     /// path and the lazy driver's oracle: results must be bit-identical to
-    /// [`top_k`](Self::top_k) under the scalar kernel, and
+    /// [`top_k`](Self::top_k), and
     /// `tests/query_engine_equivalence.rs` plus the `query_engine`
     /// benchmark hold the two implementations against each other.
     pub fn top_k_merge_join(&self, q: NodeId, k: usize) -> Result<TopKResult> {
@@ -212,8 +212,7 @@ impl KdashIndex {
     /// and every proximity is a two-pointer merge join. The multi-root
     /// counterpart of [`top_k_merge_join`](Self::top_k_merge_join), kept
     /// (hidden) as the oracle the lazy restart-set search is property-
-    /// tested against: results are bit-identical under the scalar kernel,
-    /// and `visited`/`proximity_computations`/`terminated_early` agree,
+    /// tested against: results are bit-identical, and `visited`/`proximity_computations`/`terminated_early` agree,
     /// while `reachable`/`frontier_expanded` carry the eager semantics
     /// (always the full reachable count).
     #[doc(hidden)]
@@ -388,10 +387,7 @@ mod tests {
         for seed in [0u64, 4, 8] {
             let g = random_graph(90, 4, seed);
             let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
-            // The scalar kernel is the one with a bit-identity contract
-            // against the merge join (the wide kernels re-associate).
-            let mut searcher =
-                Searcher::with_kernel(&index, crate::GatherKernel::Scalar).unwrap();
+            let mut searcher = index.searcher();
             for q in [0u32, 33, 71] {
                 for k in [1usize, 6, 90, 120] {
                     let new = searcher.top_k(q, k).unwrap();
@@ -426,7 +422,6 @@ mod tests {
                             "full runs agree exactly"
                         );
                         assert!(new.stats.bytes_touched > 0, "gather path must account bytes");
-                        assert_eq!(new.stats.kernel, "scalar");
                     }
                 }
             }

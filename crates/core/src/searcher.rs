@@ -27,24 +27,19 @@
 //! order exactly, so results and visit order are identical to the eager
 //! reference — only the traversal cost shrinks.
 //!
-//! # Proximity kernels
+//! # The proximity gather
 //!
 //! Proximities come from the scatter/gather kernel: the fixed query column
-//! `L⁻¹ e_q` is scattered once per query, then each candidate costs a
-//! gather over only `nnz((U⁻¹)ᵤ)` — through the workspace's selected
-//! [`GatherKernel`] (default [`GatherKernel::Adaptive`]: per row, the
-//! deterministic hit-rate policy picks the branchy scalar gather on
-//! miss-dominated rows and a wide kernel — AVX2 where the host has it,
-//! the four-accumulator unrolled twin otherwise — on hit-dominated ones;
-//! see [`Searcher::set_kernel`]). The wide kernels are bit-identical to
-//! each other and within `1e-12` of the scalar reference, which itself is
-//! bit-identical to the merge join ([`KdashIndex::top_k_merge_join`] keeps
-//! the old eager path alive as the exactness cross-check). Rows stream
-//! from the index's [`ProximityStore`](kdash_sparse::ProximityStore)
-//! (blocked u16-delta layout by default — bit-identical across layouts),
-//! candidate rows are software-prefetched a block ahead
-//! ([`PREFETCH_BLOCK`]), and every query's byte traffic, per-class row
-//! split and resolved kernel land in [`SearchStats`].
+//! `L⁻¹ e_q` is scattered once per query, then each candidate costs one
+//! scalar, stamp-checked gather over only `nnz((U⁻¹)ᵤ)` — straight from
+//! the index's blocked `U⁻¹` rows
+//! ([`BlockedCsr::row_dot_scattered_counting`], the one gather path).
+//! It visits the merge join's matching pairs in the same order, so every
+//! proximity is bit-identical to the merge join
+//! ([`KdashIndex::top_k_merge_join`] keeps the old eager path alive as
+//! the exactness cross-check). Candidate rows are software-prefetched a
+//! block ahead ([`PREFETCH_BLOCK`]), and every query's byte traffic lands
+//! in [`SearchStats`].
 //!
 //! # Certified refinement (sparsified tier)
 //!
@@ -77,9 +72,7 @@ use crate::{
     TopKResult,
 };
 use kdash_graph::{BfsScratch, NodeId};
-use kdash_sparse::{
-    DanglingPolicy, GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, ScatteredColumn,
-};
+use kdash_sparse::{BlockedCsr, DanglingPolicy, ScatteredColumn};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
@@ -137,10 +130,10 @@ impl std::fmt::Display for BudgetLimit {
 /// incomplete "exact" result. The two work meters are deterministic and
 /// execution-strategy-independent — `max_frontier_nodes` counts visited
 /// candidates and `max_gather_nnz` counts stored `U⁻¹` entries of
-/// gathered rows, both identical across kernels, layouts and thread
-/// counts — so the same budget admits exactly the same queries
-/// everywhere. Only `deadline` is inherently wall-clock (and therefore
-/// machine-dependent); use it as the outermost safety net.
+/// gathered rows, both identical across thread counts — so the same
+/// budget admits exactly the same queries everywhere. Only `deadline` is
+/// inherently wall-clock (and therefore machine-dependent); use it as the
+/// outermost safety net.
 ///
 /// Checks run once per candidate visit, *before* the candidate's work,
 /// so a budget of `N` admits at most `N` whole units — a partial visit
@@ -444,13 +437,8 @@ pub struct Searcher<'a> {
     hits: Vec<(f64, NodeId)>,
     /// Permuted restart-set scratch for multi-source queries.
     sources_p: Vec<NodeId>,
-    /// Host-validated gather kernel every proximity runs through.
-    kernel: ResolvedKernel,
-    /// Decode scratch for wide kernels over the blocked layout, sized to
-    /// the largest `U⁻¹` row at construction (stays allocation-free).
-    scratch: GatherScratch,
-    /// Byte-traffic and kernel-split counters, reset per query and folded
-    /// into [`SearchStats`].
+    /// Gather traffic counters, reset per query and folded into
+    /// [`SearchStats`].
     counters: GatherCounters,
     /// Visit position up to which candidate rows have been prefetched.
     prefetched_until: usize,
@@ -462,9 +450,7 @@ pub struct Searcher<'a> {
 }
 
 impl<'a> Searcher<'a> {
-    /// A fresh workspace for `index` with the [`GatherKernel::Adaptive`]
-    /// kernel (the recommended default). `O(n)` once; queries then reuse
-    /// it.
+    /// A fresh workspace for `index`. `O(n)` once; queries then reuse it.
     pub fn new(index: &'a KdashIndex) -> Self {
         let n = index.num_nodes();
         Searcher {
@@ -474,37 +460,11 @@ impl<'a> Searcher<'a> {
             heap: TopKHeap::new(0),
             hits: Vec::new(),
             sources_p: Vec::new(),
-            kernel: ResolvedKernel::default(),
-            scratch: GatherScratch::with_capacity(index.uinv_rows().max_row_nnz()),
             counters: GatherCounters::default(),
             prefetched_until: 0,
             budget: QueryBudget::default(),
             refine: None,
         }
-    }
-
-    /// A fresh workspace running every proximity through `kernel`.
-    /// Fails with [`KdashError::UnsupportedKernel`] when the host CPU
-    /// cannot honour the selection (only [`GatherKernel::Auto`] falls
-    /// back).
-    pub fn with_kernel(index: &'a KdashIndex, kernel: GatherKernel) -> Result<Self> {
-        let mut searcher = Searcher::new(index);
-        searcher.set_kernel(kernel)?;
-        Ok(searcher)
-    }
-
-    /// Switches the gather kernel for subsequent queries. Fails with
-    /// [`KdashError::UnsupportedKernel`] — leaving the current kernel in
-    /// place — when the host cannot honour the selection.
-    pub fn set_kernel(&mut self, kernel: GatherKernel) -> Result<()> {
-        self.kernel = kernel.resolve()?;
-        Ok(())
-    }
-
-    /// The kernel proximities currently run through (the *resolved*
-    /// dispatch target, e.g. `Auto` shows up as `avx2` or `unrolled`).
-    pub fn kernel(&self) -> ResolvedKernel {
-        self.kernel
     }
 
     /// The index this workspace serves.
@@ -549,17 +509,11 @@ impl<'a> Searcher<'a> {
     }
 
     /// One candidate proximity gather (without the `c` factor): row `u`
-    /// of the stored `U⁻¹` against the scattered query column, through
-    /// the workspace kernel, with byte traffic accumulated.
+    /// of the stored `U⁻¹` against the scattered query column, with byte
+    /// traffic accumulated.
     #[inline]
     fn gather(&mut self, u: NodeId) -> f64 {
-        self.index.uinv().row_gather(
-            self.kernel,
-            u,
-            &self.column,
-            &mut self.scratch,
-            &mut self.counters,
-        )
+        self.counters.gather(self.index.uinv(), u, &self.column)
     }
 
     /// Candidate batching: on entering a new block of visit positions,
@@ -600,16 +554,14 @@ impl<'a> Searcher<'a> {
         self.record_gather(stats);
     }
 
-    /// Folds the gather counters and the resolved kernel into `stats` —
-    /// how `auto`/`adaptive` resolutions stay reproducible from logs.
+    /// Folds the gather counters into `stats`.
     #[inline]
     fn record_gather(&self, stats: &mut SearchStats) {
         stats.bytes_touched = self.counters.index_bytes;
         stats.value_bytes_touched = self.counters.value_bytes;
-        stats.rows_scalar = self.counters.rows_scalar;
-        stats.rows_wide = self.counters.rows_wide;
+        stats.rows_scalar = self.counters.rows;
+        stats.rows_wide = 0;
         stats.nnz_gathered = self.counters.nnz;
-        stats.kernel = self.kernel.name();
     }
 
     /// Exact top-k search (Algorithm 4). Returns `min(k, n)` nodes in
@@ -977,9 +929,7 @@ impl<'a> Searcher<'a> {
             }
             visit_any_order(
                 index,
-                self.kernel,
                 &self.column,
-                &mut self.scratch,
                 &mut self.counters,
                 &mut self.heap,
                 &mut bound_state,
@@ -1007,9 +957,7 @@ impl<'a> Searcher<'a> {
             if !self.bfs.is_reached(v) {
                 visit_any_order(
                     index,
-                    self.kernel,
                     &self.column,
-                    &mut self.scratch,
                     &mut self.counters,
                     &mut self.heap,
                     &mut bound_state,
@@ -1150,8 +1098,7 @@ impl<'a> Searcher<'a> {
         let reach = self.bfs.num_discovered();
 
         // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
-        // reachable node through the workspace kernel, exactly the
-        // classic search's per-candidate cost.
+        // reachable node, exactly the classic search's per-candidate cost.
         for pos in 0..reach {
             if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
                 return Err(self.budget_abort(limit, stats.clone()));
@@ -1237,7 +1184,7 @@ impl<'a> Searcher<'a> {
 
             // One correction pass x̃ += Ũ⁻¹(L̃⁻¹ r): scatter the L̃⁻¹
             // columns of the residual support into y, then gather every
-            // reachable Ũ⁻¹ row against it — the same kernel and cost
+            // reachable Ũ⁻¹ row against it — the same gather and cost
             // model as the initial solve.
             for &u in &st.y_supp {
                 st.y[u as usize] = 0.0;
@@ -1275,13 +1222,7 @@ impl<'a> Searcher<'a> {
                     }
                 }
                 let u = self.bfs.order()[pos];
-                let d = index.uinv().row_gather(
-                    self.kernel,
-                    u,
-                    &st.ycol,
-                    &mut self.scratch,
-                    &mut self.counters,
-                );
+                let d = self.counters.gather(index.uinv(), u, &st.ycol);
                 st.x[u as usize] += d;
             }
             stats.refinement_nnz += self.counters.nnz - nnz_before;
@@ -1316,6 +1257,41 @@ impl<'a> Searcher<'a> {
     }
 }
 
+/// Gather traffic of one query under a fixed accounting model: every
+/// gathered row streams its blocked index bytes, and is charged 8 value
+/// bytes per stamp hit (the value loads the scalar gather executes).
+#[derive(Debug, Clone, Copy, Default)]
+struct GatherCounters {
+    /// Rows gathered.
+    rows: usize,
+    /// Index bytes streamed (2 per stored entry + 8 per run).
+    index_bytes: usize,
+    /// Value bytes touched (8 per stamp hit).
+    value_bytes: usize,
+    /// Stored entries of every gathered row — the query-budget currency
+    /// ([`QueryBudget::max_gather_nnz`] meters this).
+    nnz: usize,
+}
+
+impl GatherCounters {
+    /// Zeroes every counter (start of a query).
+    fn reset(&mut self) {
+        *self = GatherCounters::default();
+    }
+
+    /// Row `r` of `uinv` against `column`, counted. Every proximity the
+    /// searcher computes runs through here.
+    #[inline]
+    fn gather(&mut self, uinv: &BlockedCsr, r: NodeId, column: &ScatteredColumn) -> f64 {
+        let (acc, hits) = uinv.row_dot_scattered_counting(r, column);
+        self.rows += 1;
+        self.index_bytes += uinv.row_index_bytes(r);
+        self.value_bytes += 8 * hits;
+        self.nnz += uinv.row_nnz(r);
+        acc
+    }
+}
+
 /// One candidate visit of the order-agnostic (random-root) search. A free
 /// function over the workspace's split-out fields so both visit loops can
 /// call it while the BFS order is borrowed.
@@ -1323,9 +1299,7 @@ impl<'a> Searcher<'a> {
 #[inline]
 fn visit_any_order(
     index: &KdashIndex,
-    kernel: ResolvedKernel,
     column: &ScatteredColumn,
-    scratch: &mut GatherScratch,
     counters: &mut GatherCounters,
     heap: &mut TopKHeap,
     bound_state: &mut ArbitraryOrderBound,
@@ -1343,7 +1317,7 @@ fn visit_any_order(
             return;
         }
     }
-    let p = c * index.uinv().row_gather(kernel, u, column, scratch, counters);
+    let p = c * counters.gather(index.uinv(), u, column);
     stats.proximity_computations += 1;
     bound_state.record(p, index.a_col_max()[u as usize]);
     heap.offer(p, u);

@@ -31,9 +31,9 @@ pub struct IndexStats {
     pub num_nodes: usize,
     /// Approximate heap footprint of the stored inverses in bytes.
     pub inverse_heap_bytes: usize,
-    /// Column-index bytes of the stored `U⁻¹` under its row layout —
-    /// what a full sweep of the gather path streams from memory (flat:
-    /// 4/nnz; blocked: 2/nnz + 8/run).
+    /// Column-index bytes of the stored `U⁻¹` in its blocked encoding —
+    /// what a full sweep of the gather path streams from memory
+    /// (2/nnz + 8/run).
     pub uinv_index_bytes: usize,
 }
 
@@ -90,37 +90,29 @@ pub struct SearchStats {
     /// traversal work Lemma 2 saved on top of the skipped proximity
     /// computations.
     pub frontier_expanded: usize,
-    /// Index bytes the proximity gathers streamed (layout-dependent:
-    /// 4/nnz flat, 2/nnz + 8/run blocked). Zero on paths that never run
-    /// the gather kernel (the merge-join oracles).
+    /// Index bytes the proximity gathers streamed from the blocked `U⁻¹`
+    /// (2/nnz + 8/run). Zero on paths that never run the gather (the
+    /// merge-join oracles).
     pub bytes_touched: usize,
-    /// Value bytes the gathers touched under the fixed accounting model
-    /// (scalar rows: 8 per stamp hit; wide rows: 8 per stored entry) —
-    /// machine-independent, so the cold-row regression pin can compare
-    /// executed traffic across kernels.
+    /// Value bytes the gathers touched under a fixed accounting model
+    /// (8 per stamp hit, the value loads the gather executes) —
+    /// machine-independent.
     pub value_bytes_touched: usize,
-    /// Candidate rows the (possibly adaptive) dispatch ran through the
-    /// branchy scalar gather.
+    /// Candidate rows run through the gather.
     pub rows_scalar: usize,
-    /// Candidate rows dispatched to a wide (unrolled/AVX2) kernel.
+    /// Always 0: there is one (scalar) gather. Kept because benchmark
+    /// reports read it.
     pub rows_wide: usize,
     /// Stored `U⁻¹` entries of every gathered row — the work metric
-    /// [`QueryBudget::max_gather_nnz`](crate::QueryBudget) meters.
-    /// Layout- and kernel-independent by construction (it counts stored
-    /// entries, not executed loads), so the same budget admits the same
-    /// queries under every execution strategy. Zero on paths that never
-    /// run the gather kernel.
+    /// [`QueryBudget::max_gather_nnz`](crate::QueryBudget) meters. It
+    /// counts stored entries, not executed loads. Zero on paths that
+    /// never run the gather.
     pub nnz_gathered: usize,
-    /// The resolved gather kernel that produced this query's proximities
-    /// (e.g. `"scalar"`, `"avx2"`, `"adaptive(avx2)"`), recorded so
-    /// `auto`/`adaptive` resolutions are reproducible from logs. Empty on
-    /// paths that never run the gather kernel.
-    pub kernel: &'static str,
     /// Certified-refinement correction passes the query ran. Zero on a
     /// dense-exact index (the classic Lemma-2 path never refines); on a
     /// sparsified index every answer was certified after this many
-    /// residual/correction iterations. Independent of kernel and layout —
-    /// a pure function of index content and query.
+    /// residual/correction iterations — a pure function of index content
+    /// and query.
     pub refinement_iterations: usize,
     /// Stored entries the refinement loop moved: residual accumulations
     /// over the permuted graph plus `L̃⁻¹`/`Ũ⁻¹` entries scattered and
@@ -131,11 +123,10 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// This record with every gather-kernel field cleared (byte counters,
-    /// row split, kernel label). Search-work comparisons across *different
-    /// kernels, layouts or the merge-join oracles* pin everything else —
-    /// visits, proximity computations, termination, traversal — while the
-    /// gather fields legitimately vary with the execution strategy.
+    /// This record with every gather field cleared (byte counters, row
+    /// count). Search-work comparisons against the merge-join oracles pin
+    /// everything else — visits, proximity computations, termination,
+    /// traversal — while the gather fields stay zero on the oracles.
     pub fn without_gather(&self) -> SearchStats {
         SearchStats {
             bytes_touched: 0,
@@ -143,15 +134,8 @@ impl SearchStats {
             rows_scalar: 0,
             rows_wide: 0,
             nnz_gathered: 0,
-            kernel: "",
             ..self.clone()
         }
-    }
-
-    /// Total gather traffic under the accounting model: index bytes plus
-    /// model value bytes. The quantity the adaptive policy minimises.
-    pub fn gather_bytes(&self) -> usize {
-        self.bytes_touched + self.value_bytes_touched
     }
 }
 

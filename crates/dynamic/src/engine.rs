@@ -41,8 +41,7 @@ use kdash_core::{IndexPatch, KdashIndex};
 use kdash_graph::{EdgeEdit, NodeId};
 use kdash_sparse::{
     inverse_dirty_columns, refactor_candidates, refactor_columns_with, sparsify_columns_with,
-    transition_matrix, w_matrix, Index, InvertOptions, LuFactors, ProximityStore, RowUpdate,
-    Triangle,
+    transition_matrix, w_matrix, BlockedCsr, Index, InvertOptions, LuFactors, RowUpdate, Triangle,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -699,10 +698,10 @@ impl DynamicIndex {
         report.resolve_time = t.elapsed();
 
         // Stage 5 — splice. L⁻¹ is column-major storage, so the solved
-        // columns drop straight in. U⁻¹ is stored row-major behind the
-        // ProximityStore: the solved columns are scattered into per-row
-        // updates, merged with each dirty row's surviving entries, and
-        // spliced with per-row blocked re-encoding + RowStat refresh.
+        // columns drop straight in. U⁻¹ is stored row-major (blocked): the
+        // solved columns are scattered into per-row updates, merged with
+        // each dirty row's surviving entries, and spliced with per-row
+        // blocked re-encoding.
         let t = Instant::now();
         let new_linv = self.index.linv_cols().splice_columns(&linv_updates)?;
         let row_updates = uinv_row_updates(self.index.uinv_rows(), &dirty_uinv, &uinv_updates);
@@ -880,7 +879,7 @@ impl DynamicIndex {
 /// the merge is a linear zip — and the result is exactly the row a full
 /// `U⁻¹` rebuild would store.
 fn uinv_row_updates(
-    store: &ProximityStore,
+    store: &BlockedCsr,
     dirty_cols: &[Index],
     solved: &[kdash_sparse::ColumnUpdate],
 ) -> Vec<RowUpdate> {
@@ -904,16 +903,18 @@ fn uinv_row_updates(
         }
     }
 
-    // Rows with old entries in a dirty column. The row-stat span check
-    // skips most clean rows without decoding them.
+    // Rows with old entries in a dirty column. The row-span check skips
+    // most clean rows without decoding them.
     let mut affected: Vec<Index> = new_by_row.keys().copied().collect();
-    let mut decode_scratch: Vec<Index> = Vec::with_capacity(store.max_row_nnz());
+    let mut cols: Vec<Index> = Vec::new();
     for r in 0..n as Index {
-        let stat = store.row_stat(r);
-        if stat.nnz == 0 || stat.last < min_dirty || stat.first > max_dirty {
+        let (Some(first), Some(last)) = (store.row_first_col(r), store.row_last_col(r)) else {
+            continue;
+        };
+        if last < min_dirty || first > max_dirty {
             continue;
         }
-        let (cols, _) = row_view(store, r, &mut decode_scratch);
+        store.decode_row_into(r, &mut cols);
         if cols.iter().any(|&c| dirty_flag[c as usize]) {
             affected.push(r);
         }
@@ -924,10 +925,10 @@ fn uinv_row_updates(
     affected
         .into_iter()
         .map(|r| {
-            let (cols, vals) = row_view(store, r, &mut decode_scratch);
+            store.decode_row_into(r, &mut cols);
             let kept: Vec<(Index, f64)> = cols
                 .iter()
-                .zip(vals)
+                .zip(store.row_values(r))
                 .filter(|(&c, _)| !dirty_flag[c as usize])
                 .map(|(&c, &v)| (c, v))
                 .collect();
@@ -955,23 +956,6 @@ fn uinv_row_updates(
             RowUpdate { row: r, cols: merged_cols, vals: merged_vals }
         })
         .collect()
-}
-
-/// A row's columns and values under either layout. The blocked layout
-/// decodes into `scratch`; the flat layout borrows directly.
-fn row_view<'a>(
-    store: &'a ProximityStore,
-    r: Index,
-    scratch: &'a mut Vec<Index>,
-) -> (&'a [Index], &'a [f64]) {
-    match (store.as_flat(), store.as_blocked()) {
-        (Some(m), _) => m.row(r),
-        (_, Some(b)) => {
-            b.decode_row_into(r, scratch);
-            (scratch.as_slice(), b.row_values(r))
-        }
-        _ => unreachable!("a store is always one of the two layouts"),
-    }
 }
 
 #[cfg(test)]

@@ -34,22 +34,19 @@
 //! 3. **Re-solve + splice** — only the dirty inverse columns re-run
 //!    their per-column triangular solves (the same work-stealing pool as
 //!    the build pipeline), then splice into the stored arrays: `L⁻¹` by
-//!    column, the `U⁻¹` [`kdash_sparse::ProximityStore`] by row with
-//!    per-row blocked re-encoding and policy-table ([`RowStat`]) refresh
-//!    — so the adaptive kernel policy and the byte accounting stay
-//!    coherent with a from-scratch build.
+//!    column, the blocked `U⁻¹` ([`kdash_sparse::BlockedCsr`]) by row
+//!    with per-row re-encoding — so the byte accounting stays coherent
+//!    with a from-scratch build.
 //! 4. **Estimator refresh** — `A_max(v)` and `c'` are recomputed for the
 //!    edited columns only; the global `A_max` folds over the per-column
 //!    maxima.
 //!
 //! Because every stage either reuses the build pipeline's own kernels on
 //! identical inputs or provably leaves bits alone, *incremental update ≡
-//! from-scratch rebuild* holds at the array level — index arrays, row
-//! stats, top-k items and search statistics — which
+//! from-scratch rebuild* holds at the array level — index arrays, top-k
+//! items and search statistics — which
 //! `tests/dynamic_equivalence.rs` pins across graph families, orderings
 //! and random edit batches.
-//!
-//! [`RowStat`]: kdash_sparse::RowStat
 //!
 //! ## Quick start
 //!

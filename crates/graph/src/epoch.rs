@@ -59,8 +59,8 @@ impl EpochStamps {
     }
 
     /// The raw stamp array and the current generation, for kernels that
-    /// test many slots in bulk (the SIMD gather compares four stamps per
-    /// instruction): slot `i` is marked iff `raw().0[i] == raw().1` —
+    /// test many slots in a hot loop (the sparse gather): slot `i` is
+    /// marked iff `raw().0[i] == raw().1` —
     /// exactly what [`is_marked`](Self::is_marked) computes one slot at a
     /// time.
     #[inline]

@@ -26,8 +26,8 @@ pub fn exact_top_k_scored(graph: &CsrGraph, c: f64, q: NodeId, k: usize) -> Vec<
 }
 
 /// The lazy-vs-eager query-engine contract, shared by the equivalence
-/// suites: `lazy` from the lazy-frontier production path (under the
-/// *scalar* kernel), `eager` from an eager whole-tree-first replay oracle
+/// suites: `lazy` from the lazy-frontier production path, `eager` from
+/// an eager whole-tree-first replay oracle
 /// (`top_k_merge_join`, `top_k_from_set_replay`, `top_k_eager_into`).
 ///
 /// Checks: items bit-identical; `visited`/`proximity_computations`/
@@ -68,49 +68,10 @@ pub fn check_lazy_vs_eager(lazy: &TopKResult, eager: &TopKResult) -> Result<(), 
             return Err(format!("death layer leaked into the expansion count: {a:?}"));
         }
     } else if a.without_gather() != b.without_gather() {
-        // The merge-join oracles never run the gather kernel, so the byte
-        // counters/kernel label legitimately differ; everything else must
-        // agree exactly on complete runs.
+        // The merge-join oracles never run the gather, so the byte
+        // counters legitimately differ; everything else must agree
+        // exactly on complete runs.
         return Err(format!("full runs must agree exactly: {a:?} vs {b:?}"));
-    }
-    Ok(())
-}
-
-/// The flat-vs-blocked layout contract, shared by
-/// `tests/layout_equivalence.rs`: under one kernel selection, the two
-/// layouts must return bit-identical items and identical stats in every
-/// field except `bytes_touched` — the index-byte counter is layout-
-/// dependent by design (it is exactly what the blocked encoding shrinks
-/// on fill-dominated rows; on near-empty rows the run header can cost
-/// more, so aggregate reduction is asserted at matrix level, not here).
-/// The per-kernel row split (`rows_scalar`/`rows_wide`) and the value
-/// traffic agreeing across layouts is the pin that the adaptive policy
-/// consumes layout-independent inputs.
-pub fn check_layout_equivalence(flat: &TopKResult, blocked: &TopKResult) -> Result<(), String> {
-    if flat.items.len() != blocked.items.len() {
-        return Err(format!("lengths differ: {} vs {}", flat.items.len(), blocked.items.len()));
-    }
-    for (x, y) in flat.items.iter().zip(&blocked.items) {
-        if x.node != y.node || x.proximity.to_bits() != y.proximity.to_bits() {
-            return Err(format!(
-                "item mismatch: ({}, {:.17e}) vs ({}, {:.17e})",
-                x.node, x.proximity, y.node, y.proximity
-            ));
-        }
-    }
-    let (a, b) = (&flat.stats, &blocked.stats);
-    let mut a_masked = a.clone();
-    let mut b_masked = b.clone();
-    a_masked.bytes_touched = 0;
-    b_masked.bytes_touched = 0;
-    if a_masked != b_masked {
-        return Err(format!("stats differ beyond index bytes: {a:?} vs {b:?}"));
-    }
-    if (a.bytes_touched == 0) != (b.bytes_touched == 0) {
-        return Err(format!(
-            "one layout gathered, the other did not: {} vs {}",
-            a.bytes_touched, b.bytes_touched
-        ));
     }
     Ok(())
 }
@@ -118,8 +79,8 @@ pub fn check_layout_equivalence(flat: &TopKResult, blocked: &TopKResult) -> Resu
 /// The dynamic-update contract, shared by `tests/dynamic_equivalence.rs`
 /// and the update benchmarks: two indexes are **bit-identical at the
 /// array level** — same permutation, same permuted graph, same `L⁻¹`
-/// arrays (pointer, index and value bits), same `U⁻¹` proximity store
-/// (layout, encoded arrays, per-row policy stats), same estimator
+/// arrays (pointer, index and value bits), same blocked `U⁻¹` arrays,
+/// same estimator
 /// constants, same nnz statistics and same update-relevant metadata.
 /// This is the strongest form of "incremental update ≡ from-scratch
 /// rebuild": if it holds, every query answer and every `SearchStats`
@@ -147,13 +108,8 @@ pub fn check_index_bit_identity(
             return Err(format!("L⁻¹ value {i} differs: {x:e} vs {y:e}"));
         }
     }
-    if a.layout() != b.layout() {
-        return Err(format!("layouts differ: {} vs {}", a.layout(), b.layout()));
-    }
-    // ProximityStore equality covers the encoded index arrays, the value
-    // bits, the RowStat policy table and the scratch high-water mark.
     if a.uinv_rows() != b.uinv_rows() {
-        return Err("U⁻¹ proximity stores differ".into());
+        return Err("U⁻¹ arrays differ".into());
     }
     let (a_col_max_a, a_max_a, c_prime_a) = a.estimator_constants();
     let (a_col_max_b, a_max_b, c_prime_b) = b.estimator_constants();

@@ -1,13 +1,16 @@
-//! Epoch publication: immutable index snapshots behind one atomic load.
+//! Epoch publication: immutable index snapshots behind a mutex-guarded
+//! pointer, with a one-load staleness check.
 //!
 //! The write side ([`EpochWriter`]) owns the only mutable
 //! [`DynamicIndex`]; after every committed apply it clones the patched
 //! index into a fresh `Arc<KdashIndex>` and swaps it into the
-//! [`EpochStore`]. The read side pins the current snapshot (one `Arc`
-//! clone under a mutex held for a pointer copy) and thereafter detects
-//! staleness with a single atomic load — queries on a pinned epoch run
-//! against memory no writer will ever touch again, so readers are
-//! wait-free with respect to writers.
+//! [`EpochStore`]. The read side pins the current snapshot: one `Arc`
+//! clone under the same mutex the writer's publish takes for its
+//! pointer swap, so a pin can wait for a concurrent swap (never for a
+//! query, a clone or an apply). After pinning, a reader detects
+//! staleness with a single atomic load ([`EpochStore::epoch`]). Queries
+//! on a pinned epoch run against memory no writer will ever touch
+//! again, so they never wait on a writer.
 
 use crate::{lock_unpoisoned, ServeMetrics};
 use kdash_core::{KdashIndex, Result};

@@ -8,16 +8,17 @@
 //!
 //! * [`EpochStore`] — the publication point. It holds the current
 //!   serving snapshot as an `Arc<KdashIndex>` tagged by its update
-//!   epoch. Readers *pin* a snapshot (one `Arc` clone) and detect
-//!   staleness with a single atomic load ([`EpochStore::epoch`]); the
-//!   store also tracks the latest **acked** write epoch so freshness
-//!   lag is observable at any moment.
+//!   epoch. Readers *pin* a snapshot (one `Arc` clone under the mutex
+//!   the writer's pointer swap also takes, so a pin can wait for that
+//!   swap) and detect staleness with a single atomic load
+//!   ([`EpochStore::epoch`]); the store also tracks the latest
+//!   **acked** write epoch so freshness lag is observable at any moment.
 //! * [`EpochWriter`] — the single-writer update path. It owns a
 //!   [`kdash_dynamic::DynamicIndex`] (journaled mode supported, so acks
 //!   survive crashes) and, after every committed
 //!   `apply`/`apply_coalesced`, clones the patched index into a fresh
 //!   immutable snapshot and publishes it. Epoch N+1 is prepared
-//!   entirely off the serving path; readers on epoch N are never
+//!   entirely off the serving path; queries on epoch N are never
 //!   blocked, torn, or slowed beyond the memory bandwidth the clone
 //!   consumes.
 //! * [`ServeLoop`] — the read path: a thread-per-core worker pool
@@ -35,7 +36,7 @@
 //! **Epoch semantics.** Every response names the epoch it was computed
 //! against ([`ServeResponse::epoch`]) and is **bit-identical** to a
 //! standalone [`kdash_core::Searcher::top_k`] against that epoch's
-//! pinned snapshot with the same kernel and budget — there is no state
+//! pinned snapshot with the same budget — there is no state
 //! in between epochs to observe, so torn reads are impossible by
 //! construction. A worker serves a whole drained batch from one pinned
 //! epoch; it picks up a newly published epoch at the next batch

@@ -1,11 +1,12 @@
 //! Blocked CSR storage: the bandwidth-lean layout for the stored inverses.
 //!
-//! PR 3's measurements showed the k=50 hot path at scale 16 is DRAM-bound:
-//! once `U⁻¹` outgrows cache, every gather streams the row's column
-//! indices (4 bytes/nnz) plus stamps and values from memory, and the
-//! kernels wait on bandwidth, not arithmetic. The exactness argument
-//! (Lemmas 1/2 operate on the *values* of sparse `L⁻¹`/`U⁻¹` rows) does
-//! not care how the indices are encoded — so [`BlockedCsr`] shrinks them.
+//! Once `U⁻¹` outgrows cache, the k=50 hot path is DRAM-bound: every
+//! gather streams the row's column indices (4 bytes/nnz in flat CSR) plus
+//! stamps and values from memory, and waits on bandwidth, not arithmetic.
+//! The exactness argument (Lemmas 1/2 operate on the *values* of sparse
+//! `L⁻¹`/`U⁻¹` rows) does not care how the indices are encoded — so
+//! [`BlockedCsr`] shrinks them. It is the only in-memory encoding of the
+//! stored `U⁻¹`.
 //!
 //! Column indices are split into **runs**: all consecutive nonzeros of a
 //! row whose columns share the same 2¹⁶-wide aligned block are stored as
@@ -15,18 +16,16 @@
 //! for the fill-dominated inverse rows this is a ≥ 25 % cut in index
 //! bytes (~50 % when rows span few blocks, which the reordering makes the
 //! common case; a graph under 65 536 nodes needs exactly one run per
-//! row). Values are the *same* `f64` array in the *same* order as the
-//! flat layout, so every kernel that walks a row in position order
-//! produces bit-identical sums.
+//! row). Values are the *same* `f64` array in the *same* order as flat
+//! CSR, so every kernel that walks a row in position order produces
+//! bit-identical sums.
 //!
-//! The decoding contract the gather kernels rely on: iterating a row's
-//! runs in order and, within a run, its deltas in order yields exactly
-//! the flat CSR column sequence (strictly ascending). The scalar gather
-//! and the merge join below exploit that directly; the wide kernels
-//! decode a row into a caller-owned scratch first
-//! ([`decode_row_into`](BlockedCsr::decode_row_into)) and then run the
-//! *same* slice kernels as the flat layout — which is what makes the two
-//! layouts bit-identical under every kernel, not just the scalar one.
+//! The decoding contract: iterating a row's runs in order and, within a
+//! run, its deltas in order yields exactly the flat CSR column sequence
+//! (strictly ascending). The scalar gather
+//! ([`row_dot_scattered_counting`](BlockedCsr::row_dot_scattered_counting))
+//! and the merge join below walk the runs directly, so both are
+//! bit-identical to their [`CsrMatrix`] reference kernels.
 
 use crate::{CsrMatrix, Index, Result, ScatteredColumn, SparseError};
 
@@ -52,7 +51,7 @@ pub struct BlockedCsr {
     run_end: Vec<u32>,
     /// Column offsets within the run's block: `col = base + delta`.
     deltas: Vec<u16>,
-    /// Values, identical order to the flat layout.
+    /// Values, identical order to flat CSR.
     values: Vec<f64>,
 }
 
@@ -281,7 +280,7 @@ impl BlockedCsr {
         self.run_ptr[r + 1] - self.run_ptr[r]
     }
 
-    /// Values of row `r` (flat-layout order).
+    /// Values of row `r` (flat CSR order).
     #[inline]
     pub fn row_values(&self, r: Index) -> &[f64] {
         let r = r as usize;
@@ -307,7 +306,7 @@ impl BlockedCsr {
     }
 
     /// Index bytes a gather streams for row `r`: 2 per delta + 8 per run
-    /// header. (The flat layout pays 4 per nonzero.)
+    /// header. (Flat CSR pays 4 per nonzero.)
     #[inline]
     pub fn row_index_bytes(&self, r: Index) -> usize {
         2 * self.row_nnz(r) + 8 * self.row_runs(r)
@@ -344,12 +343,7 @@ impl BlockedCsr {
     }
 
     /// Decodes row `r`'s column indices into `out` (cleared first). With
-    /// `out` at capacity ≥ the largest row, this allocates nothing — the
-    /// wide gather kernels decode into a reused scratch and then run the
-    /// same slice kernels as the flat layout. Decoding is a widening copy
-    /// per run (`extend` over an exact-size map, which vectorises),
-    /// L1-resident for the scratch — the DRAM side still streams only the
-    /// 2-byte deltas.
+    /// `out` at capacity ≥ the largest row, this allocates nothing.
     #[inline]
     pub fn decode_row_into(&self, r: Index, out: &mut Vec<u32>) {
         out.clear();
@@ -363,8 +357,8 @@ impl BlockedCsr {
         }
     }
 
-    /// The one-accumulator scalar gather over the blocked row — identical
-    /// pairs in identical order to the flat
+    /// **The** proximity gather: the one-accumulator scalar gather over
+    /// the blocked row — identical pairs in identical order to
     /// [`CsrMatrix::row_dot_scattered`], hence bit-identical. Also counts
     /// the stamp hits (value loads actually executed), which the
     /// byte-traffic accounting needs.
@@ -392,13 +386,6 @@ impl BlockedCsr {
             start = end;
         }
         (acc, hits)
-    }
-
-    /// [`row_dot_scattered_counting`](Self::row_dot_scattered_counting)
-    /// without the hit count.
-    #[inline]
-    pub fn row_dot_scattered(&self, r: Index, buf: &ScatteredColumn) -> f64 {
-        self.row_dot_scattered_counting(r, buf).0
     }
 
     /// Two-pointer merge join against a sorted sparse vector, decoding
@@ -501,7 +488,7 @@ fn encode_row(
 
 /// Prefetches up to `lines` 64-byte cache lines from the start of `span`.
 #[inline]
-pub(crate) fn prefetch_span<T>(span: &[T], lines: usize) {
+fn prefetch_span<T>(span: &[T], lines: usize) {
     let bytes = std::mem::size_of_val(span);
     let base = span.as_ptr() as *const u8;
     let mut offset = 0usize;
@@ -509,7 +496,7 @@ pub(crate) fn prefetch_span<T>(span: &[T], lines: usize) {
         if offset >= bytes {
             break;
         }
-        prefetch_read(unsafe { base.add(offset) });
+        prefetch_read(base.wrapping_add(offset));
         offset += 64;
     }
 }

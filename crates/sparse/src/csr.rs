@@ -155,9 +155,9 @@ impl CsrMatrix {
     /// Replaces whole rows, returning a new matrix: rows named by an
     /// update take the update's content, every other row is copied over
     /// verbatim — the row-major twin of
-    /// [`crate::CscMatrix::splice_columns`], used by the dynamic engine to
-    /// patch the stored `U⁻¹` under the flat layout. `updates` must be
-    /// sorted by strictly increasing row.
+    /// [`crate::CscMatrix::splice_columns`], and the flat reference
+    /// [`crate::BlockedCsr::splice_rows`] is checked against. `updates`
+    /// must be sorted by strictly increasing row.
     pub fn splice_rows(&self, updates: &[RowUpdate]) -> Result<CsrMatrix> {
         validate_row_updates(self.nrows, self.ncols, updates)?;
         let delta: isize = updates
@@ -201,8 +201,7 @@ impl CsrMatrix {
 
 /// A replacement for one row of a row-major matrix: the full new content
 /// (possibly empty), sorted by column. Consumed by
-/// [`CsrMatrix::splice_rows`], [`crate::BlockedCsr::splice_rows`] and
-/// [`crate::ProximityStore::splice_rows`].
+/// [`CsrMatrix::splice_rows`] and [`crate::BlockedCsr::splice_rows`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowUpdate {
     /// Which row the update replaces.

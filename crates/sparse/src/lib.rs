@@ -29,20 +29,14 @@
 //!   ([`ScatteredColumn`]), each candidate proximity then a gather over
 //!   `O(nnz(row))` only — bit-identical to the merge-join kernel it
 //!   replaces on the hot path,
-//! * [`kernel`] — runtime-dispatched wide gathers: the portable
-//!   four-accumulator unrolled kernel and its AVX2 twin (bit-identical to
-//!   each other, within `1e-12` of the one-lane reference), selected via
-//!   [`GatherKernel`] and a host-validated [`ResolvedKernel`] token;
-//!   [`GatherKernel::Adaptive`] adds a deterministic per-row
-//!   scalar-vs-wide policy driven by build-time [`RowStat`]s and the
-//!   loaded column's density profile,
-//! * [`blocked`] — the bandwidth-lean [`BlockedCsr`] row layout: `u16`
-//!   column deltas against aligned `u32` block anchors, ~half the index
-//!   traffic of flat CSR on fill-dominated inverse rows, bit-identical
-//!   values and results,
-//! * [`store`] — [`ProximityStore`]: the query engine's `U⁻¹` holder,
-//!   uniting both layouts, the per-row policy table, byte-traffic
-//!   counters and software-prefetch hooks behind one gather entry point.
+//! * [`blocked`] — [`BlockedCsr`], the one in-memory encoding of the
+//!   stored `U⁻¹`: `u16` column deltas against aligned `u32` block
+//!   anchors, ~half the index traffic of flat CSR on fill-dominated
+//!   inverse rows. Its scalar gather
+//!   ([`BlockedCsr::row_dot_scattered_counting`]) is the query engine's
+//!   only gather, with software prefetch of the next candidate rows
+//!   ([`BlockedCsr::prefetch_row`]); it is bit-identical to the
+//!   [`CsrMatrix`] reference kernels.
 //!
 //! ## Conventions
 //!
@@ -57,13 +51,11 @@ pub mod blocked;
 pub mod csc;
 pub mod csr;
 pub mod inverse;
-pub mod kernel;
 pub mod lu;
 pub mod reach;
 pub mod rwr;
 pub mod scatter;
 pub mod sparsify;
-pub mod store;
 pub mod triangular;
 
 pub use blocked::{BlockedCsr, BLOCK_COLS};
@@ -74,21 +66,15 @@ pub use inverse::{
     invert_upper_with, InvertOptions,
 };
 pub use reach::{inverse_dirty_columns, refactor_candidates};
-pub use kernel::{
-    adaptive_picks_wide, adaptive_picks_wide_with, GatherCounters, GatherKernel, GatherScratch,
-    IndexFootprint, ResolvedKernel, RowStat, ADAPTIVE_DRAM_WIDE_HIT_RATE, ADAPTIVE_MIN_WIDE_NNZ,
-    ADAPTIVE_RESIDENT_VALUE_BYTES, ADAPTIVE_WIDE_HIT_RATE,
-};
 pub use lu::{
     refactor_columns, refactor_columns_with, sparse_lu, sparse_lu_with, LuFactors, RefactorReport,
 };
 pub use rwr::{transition_matrix, w_matrix, DanglingPolicy};
-pub use scatter::{ScatteredColumn, DENSITY_BUCKET_COLS};
+pub use scatter::ScatteredColumn;
 pub use sparsify::{
     sparsify_columns_with, sparsify_lower_unit_with, sparsify_upper_with, validate_drop_tolerance,
     SparsifiedColumns, SparsifiedInverse,
 };
-pub use store::{ProximityStore, RowLayout};
 pub use triangular::{SolveWorkspace, Triangle};
 
 /// Index type shared with `kdash-graph`.
@@ -109,10 +95,6 @@ pub enum SparseError {
     InvalidRestartProbability(f64),
     /// Drop tolerance for sparsified inversion must be finite and `>= 0`.
     InvalidDropTolerance(f64),
-    /// A [`GatherKernel`] selector the host CPU cannot honour (or an
-    /// unknown selector spelling). Only `Auto` falls back; explicit
-    /// requests fail typed rather than silently downgrading.
-    UnsupportedKernel { requested: String, reason: String },
 }
 
 impl std::fmt::Display for SparseError {
@@ -131,9 +113,6 @@ impl std::fmt::Display for SparseError {
             }
             SparseError::InvalidDropTolerance(eps) => {
                 write!(f, "drop tolerance {eps} must be finite and >= 0")
-            }
-            SparseError::UnsupportedKernel { requested, reason } => {
-                write!(f, "gather kernel '{requested}' unavailable: {reason}")
             }
         }
     }

@@ -23,11 +23,10 @@
 //! reference implementation; the equivalence suite cross-checks the two.
 //!
 //! [`row_dot_scattered`](CsrMatrix::row_dot_scattered) below is the
-//! *one-accumulator reference* gather. The production hot path dispatches
-//! through [`crate::kernel`] instead: a four-accumulator unrolled kernel
-//! and its bit-identical AVX2 twin, selected at runtime via
-//! [`crate::GatherKernel`] — this reference is what both are validated
-//! against (`≤ 1e-12`, exactness preserved).
+//! one-accumulator reference gather over flat CSR. The production hot
+//! path runs the same loop over the blocked encoding of `U⁻¹`
+//! ([`crate::BlockedCsr::row_dot_scattered_counting`]), which is
+//! bit-identical to it.
 
 use crate::{CsrMatrix, Index};
 use kdash_graph::EpochStamps;
@@ -52,38 +51,12 @@ pub struct ScatteredColumn {
     stamps: EpochStamps,
     /// Dense values, valid only where stamped.
     values: Vec<f64>,
-    /// Loaded entries of the current column.
-    col_nnz: u32,
-    /// Smallest loaded position (undefined while `col_nnz == 0`).
-    col_first: u32,
-    /// Largest loaded position (undefined while `col_nnz == 0`).
-    col_last: u32,
-    /// Exclusive prefix sums of the loaded entries over
-    /// [`DENSITY_BUCKET_COLS`]-wide position buckets: `bucket_cum[b]` is
-    /// the number of entries at positions `< b · DENSITY_BUCKET_COLS`.
-    /// Rebuilt on every [`load`](Self::load) (`O(nnz + n/bucket)`), it is
-    /// what makes [`expected_hit_rate`](Self::expected_hit_rate) `O(1)`
-    /// per row — the adaptive kernel policy's query-side input.
-    bucket_cum: Vec<u32>,
 }
-
-/// Width of one density bucket (columns). A fixed, machine-independent
-/// constant: the adaptive policy's decisions depend on it, and they must
-/// be identical on every host.
-pub const DENSITY_BUCKET_COLS: u32 = 1024;
 
 impl ScatteredColumn {
     /// An empty buffer for vectors of dimension `n` (nothing loaded).
     pub fn new(n: usize) -> Self {
-        let buckets = n / DENSITY_BUCKET_COLS as usize + 2;
-        ScatteredColumn {
-            stamps: EpochStamps::new(n),
-            values: vec![0.0; n],
-            col_nnz: 0,
-            col_first: 0,
-            col_last: 0,
-            bucket_cum: vec![0; buckets],
-        }
+        ScatteredColumn { stamps: EpochStamps::new(n), values: vec![0.0; n] }
     }
 
     /// Dimension this buffer serves.
@@ -93,77 +66,14 @@ impl ScatteredColumn {
     }
 
     /// Scatters the sparse vector `(idx, val)` as the new contents,
-    /// dropping whatever was loaded before. `O(nnz + n/bucket)` — the
-    /// bucket histogram behind the adaptive policy is rebuilt in the same
-    /// pass. Allocation-free.
+    /// dropping whatever was loaded before. `O(nnz)`. Allocation-free.
     pub fn load(&mut self, idx: &[Index], val: &[f64]) {
         debug_assert_eq!(idx.len(), val.len());
         self.stamps.advance();
-        self.bucket_cum.fill(0);
-        let (mut first, mut last) = (u32::MAX, 0u32);
         for (&i, &v) in idx.iter().zip(val) {
             self.stamps.mark(i as usize);
             self.values[i as usize] = v;
-            first = first.min(i);
-            last = last.max(i);
-            // Count into the bucket *after* the entry's own, so one prefix
-            // pass turns counts into exclusive cumulative sums in place.
-            self.bucket_cum[(i / DENSITY_BUCKET_COLS) as usize + 1] += 1;
         }
-        self.col_nnz = idx.len() as u32;
-        (self.col_first, self.col_last) = if idx.is_empty() { (0, 0) } else { (first, last) };
-        for b in 1..self.bucket_cum.len() {
-            self.bucket_cum[b] += self.bucket_cum[b - 1];
-        }
-    }
-
-    /// Loaded entries of the current column.
-    #[inline]
-    pub fn loaded_nnz(&self) -> u32 {
-        self.col_nnz
-    }
-
-    /// Loaded span `(first, last)` of the current column, `None` when the
-    /// column is empty.
-    #[inline]
-    pub fn loaded_span(&self) -> Option<(u32, u32)> {
-        (self.col_nnz > 0).then_some((self.col_first, self.col_last))
-    }
-
-    /// Loaded entries inside the window `[first, last]` (bucket
-    /// resolution) and the bucket-covered window width, the integer form
-    /// behind [`expected_hit_rate`](Self::expected_hit_rate). The hot
-    /// policy predicate compares these directly — no division on the
-    /// per-row path. Returns `(0, 0)` for empty/disjoint windows.
-    #[inline]
-    pub fn window_density(&self, first: u32, last: u32) -> (u64, u64) {
-        if self.col_nnz == 0 || last < first {
-            return (0, 0);
-        }
-        let lo = first.max(self.col_first);
-        let hi = last.min(self.col_last);
-        if hi < lo {
-            return (0, 0);
-        }
-        let b_lo = (lo / DENSITY_BUCKET_COLS) as usize;
-        let b_hi = (hi / DENSITY_BUCKET_COLS) as usize;
-        let in_window = (self.bucket_cum[b_hi + 1] - self.bucket_cum[b_lo]) as u64;
-        let covered = (b_hi - b_lo + 1) as u64 * DENSITY_BUCKET_COLS as u64;
-        (in_window, covered)
-    }
-
-    /// Expected stamp-hit rate for a probe uniformly drawn from the column
-    /// window `[first, last]`: the loaded entries inside the window
-    /// (bucket resolution) over the bucket-covered window width. A pure
-    /// function of the loaded column and the arguments — never the host —
-    /// so the adaptive kernel policy built on it is machine-independent.
-    /// `O(1)`.
-    pub fn expected_hit_rate(&self, first: u32, last: u32) -> f64 {
-        let (in_window, covered) = self.window_density(first, last);
-        if covered == 0 {
-            return 0.0;
-        }
-        (in_window as f64 / covered as f64).min(1.0)
     }
 
     /// The loaded value at position `i`, if `i` is part of the current
@@ -181,7 +91,7 @@ impl ScatteredColumn {
         self.stamps.force_epoch(epoch);
     }
 
-    /// Raw view for the gather kernels ([`crate::kernel`]): the stamp
+    /// Raw view for the blocked gather ([`crate::BlockedCsr`]): the stamp
     /// array, the current generation, and the dense values. Position `i`
     /// holds a current value iff `stamps[i] == generation` — the bulk form
     /// of [`get`](Self::get).
@@ -309,46 +219,6 @@ mod tests {
         for r in 0..6 as Index {
             assert_eq!(m.row_dot_scattered(r, &buf), 0.0);
         }
-    }
-
-    #[test]
-    fn profile_tracks_span_and_density() {
-        let mut buf = ScatteredColumn::new(5000);
-        assert_eq!(buf.loaded_nnz(), 0);
-        assert_eq!(buf.loaded_span(), None);
-        assert_eq!(buf.expected_hit_rate(0, 4999), 0.0, "empty column never hits");
-
-        // A dense clump in bucket 2 (positions 2048..2148).
-        let idx: Vec<Index> = (2048..2148).collect();
-        let val = vec![1.0; idx.len()];
-        buf.load(&idx, &val);
-        assert_eq!(buf.loaded_nnz(), 100);
-        assert_eq!(buf.loaded_span(), Some((2048, 2147)));
-        // Inside the clump's bucket: 100 of 1024 positions loaded.
-        let inside = buf.expected_hit_rate(2048, 2500);
-        assert!((inside - 100.0 / 1024.0).abs() < 1e-12, "{inside}");
-        // A window that misses the loaded span entirely predicts zero.
-        assert_eq!(buf.expected_hit_rate(0, 1000), 0.0);
-        assert_eq!(buf.expected_hit_rate(3000, 4999), 0.0);
-        // Degenerate window.
-        assert_eq!(buf.expected_hit_rate(10, 5), 0.0);
-
-        // Reload resets the profile.
-        buf.load(&[1], &[2.0]);
-        assert_eq!(buf.loaded_nnz(), 1);
-        assert_eq!(buf.loaded_span(), Some((1, 1)));
-        assert_eq!(buf.expected_hit_rate(2048, 2500), 0.0, "stale buckets must clear");
-        assert!(buf.expected_hit_rate(0, 100) > 0.0);
-    }
-
-    #[test]
-    fn hit_rate_is_capped_at_one() {
-        // More entries than the covered width can happen only through the
-        // min-cap (every position of one bucket loaded).
-        let mut buf = ScatteredColumn::new(1024);
-        let idx: Vec<Index> = (0..1024).collect();
-        buf.load(&idx, &vec![1.0; 1024]);
-        assert_eq!(buf.expected_hit_rate(0, 1023), 1.0);
     }
 
     #[test]

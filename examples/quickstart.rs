@@ -8,7 +8,7 @@
 //! ```
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::{GatherKernel, IndexBuilder};
+use kdash_core::IndexBuilder;
 use kdash_datagen::DatasetProfile;
 use kdash_dynamic::{DynamicIndex, Journal, UpdateBatch};
 use kdash_graph::EdgeEdit;
@@ -44,30 +44,23 @@ fn main() {
         "inverse nnz / edges = {:.2} (paper's Fig. 5 metric; ~O(m) storage)",
         index.stats().inverse_nnz_ratio()
     );
-    // The stored U⁻¹ uses the blocked index layout by default: u16 column
-    // deltas against aligned block anchors, ~half the index bytes of flat
-    // CSR on the fill-dominated inverse rows — bit-identical answers.
+    // The stored U⁻¹ is blocked: u16 column deltas against aligned block
+    // anchors, ~half the index bytes of flat CSR on the fill-dominated
+    // inverse rows — bit-identical answers.
     println!(
-        "U⁻¹ layout: {} ({:.2} index bytes/nnz; flat CSR would be 4.00)",
-        index.layout().name(),
+        "U⁻¹ index: {:.2} bytes/nnz (flat CSR would be 4.00)",
         index.stats().uinv_index_bytes as f64 / index.stats().nnz_u_inv.max(1) as f64
     );
 
     // 3. Query: exact top-10 highest-proximity nodes for node 0. A serving
-    //    loop holds one `Searcher` (allocation-free after warm-up) and can
-    //    pick its gather kernel. `Adaptive` — the recommended default —
-    //    chooses scalar or wide *per candidate row* from the row's stats
-    //    and the query column's density: a pure function of index + query,
-    //    so the choice is identical on every machine (within the wide
-    //    class, AVX2 and the portable unrolled kernel are bit-identical).
-    //    An explicit choice the CPU cannot honour is a typed error, so
-    //    deployments never silently degrade.
+    //    loop holds one `Searcher` (allocation-free after warm-up); each
+    //    candidate's proximity is one gather of its stored U⁻¹ row against
+    //    the scattered query column.
     let q = 0;
     let k = 10;
-    let mut searcher =
-        kdash_core::Searcher::with_kernel(&index, GatherKernel::Adaptive).expect("kernel");
+    let mut searcher = index.searcher();
     let result = searcher.top_k(q, k).expect("query");
-    println!("\ntop-{k} nodes for query {q} (gather kernel: {}):", searcher.kernel().name());
+    println!("\ntop-{k} nodes for query {q}:");
     for (rank, item) in result.items.iter().enumerate() {
         println!("  #{:<2} node {:<6} proximity {:.6e}", rank + 1, item.node, item.proximity);
     }
@@ -84,14 +77,10 @@ fn main() {
         result.stats.reachable,
         result.stats.terminated_early
     );
-    // The adaptive policy is observable per query: which kernel class ran
-    // each row, and what the gathers streamed.
+    // What the gathers streamed is observable per query.
     println!(
-        "gather: {} — {} rows scalar / {} wide, {} index bytes touched",
-        result.stats.kernel,
-        result.stats.rows_scalar,
-        result.stats.rows_wide,
-        result.stats.bytes_touched
+        "gather: {} rows, {} index bytes touched",
+        result.stats.rows_scalar, result.stats.bytes_touched
     );
 
     // 4. Verify exactness against the iterative definition (Equation 1).

@@ -76,8 +76,8 @@ fn staged_build_is_thread_count_invariant() {
                 );
                 assert_csc_bytes_equal(
                     &format!("{label} U⁻¹"),
-                    &baseline.uinv_rows().to_csc(),
-                    &built.uinv_rows().to_csc(),
+                    &baseline.uinv_rows().to_csr().to_csc(),
+                    &built.uinv_rows().to_csr().to_csc(),
                 );
                 assert_eq!(baseline.stats().nnz_l_inv, built.stats().nnz_l_inv, "{label}");
                 assert_eq!(baseline.stats().nnz_u_inv, built.stats().nnz_u_inv, "{label}");

@@ -174,7 +174,7 @@ fn batch_isolates_a_panicking_query() {
 
     for threads in [1, 4] {
         let options = BatchOptions { threads, ..Default::default() };
-        let clean = batch_top_k_outcomes(&index, &queries, k, &options).unwrap();
+        let clean = batch_top_k_outcomes(&index, &queries, k, &options);
         let poisoned = batch_top_k_outcomes_with_hook(
             &index,
             &queries,
@@ -185,8 +185,7 @@ fn batch_isolates_a_panicking_query() {
                     panic!("injected fault at query {q}")
                 }
             },
-        )
-        .unwrap();
+        );
 
         assert_eq!(poisoned.len(), queries.len());
         for (i, (a, b)) in clean.iter().zip(&poisoned).enumerate() {
@@ -229,11 +228,7 @@ fn batch_budget_exhaustion_is_typed_and_carries_stats() {
         budget: QueryBudget { max_gather_nnz: Some(1), ..Default::default() },
         ..Default::default()
     };
-    for (i, outcome) in batch_top_k_outcomes(&index, &queries, k, &starved)
-        .unwrap()
-        .iter()
-        .enumerate()
-    {
+    for (i, outcome) in batch_top_k_outcomes(&index, &queries, k, &starved).iter().enumerate() {
         match outcome.err() {
             Some(KdashError::BudgetExceeded { limit, stats }) => {
                 assert!(
@@ -256,8 +251,8 @@ fn batch_budget_exhaustion_is_typed_and_carries_stats() {
         },
         ..Default::default()
     };
-    let unbudgeted = batch_top_k_outcomes(&index, &queries, k, &BatchOptions::default()).unwrap();
-    let budgeted = batch_top_k_outcomes(&index, &queries, k, &generous).unwrap();
+    let unbudgeted = batch_top_k_outcomes(&index, &queries, k, &BatchOptions::default());
+    let budgeted = batch_top_k_outcomes(&index, &queries, k, &generous);
     for (a, b) in unbudgeted.into_iter().zip(budgeted) {
         let (a, b) = (a.ok().unwrap(), b.ok().unwrap());
         assert_eq!(a.nodes(), b.nodes());

@@ -6,8 +6,8 @@
 //! the oracle (`top_k_merge_join` for single-source queries,
 //! `top_k_from_set_replay` for restart sets, and for the random-root
 //! variant the path itself drains the tree eagerly since its bound can
-//! never terminate). Under the scalar kernel the two must be bit-identical
-//! in results and agree on every work counter; the traversal counters obey
+//! never terminate). The two must be bit-identical in results and agree
+//! on every work counter; the traversal counters obey
 //! the lazy semantics:
 //!
 //! * run-to-completion ⇒ identical stats, `frontier_expanded == reachable`
@@ -21,7 +21,7 @@
 //! (ER: flat degrees; BA: heavy-tailed hubs; RMAT: skewed + community
 //! structure), crossed with orderings and k.
 
-use kdash_core::{GatherKernel, IndexOptions, KdashIndex, NodeOrdering, Searcher, TopKResult};
+use kdash_core::{IndexOptions, KdashIndex, NodeOrdering, TopKResult};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::{GraphBuilder, NodeId};
 use kdash_harness::check_lazy_vs_eager;
@@ -65,7 +65,7 @@ proptest! {
             &graph,
             IndexOptions { ordering: ordering_for(which), ..Default::default() },
         ).unwrap();
-        let mut searcher = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
+        let mut searcher = index.searcher();
         for k in [k_sel, n + 2] {
             let lazy = searcher.top_k(q, k).unwrap();
             let eager = index.top_k_merge_join(q, k).unwrap();
@@ -88,10 +88,7 @@ proptest! {
             &graph,
             IndexOptions { ordering: ordering_for(which), ..Default::default() },
         ).unwrap();
-        let lazy = Searcher::with_kernel(&index, GatherKernel::Scalar)
-            .unwrap()
-            .top_k_from_set(&sources, k_sel)
-            .unwrap();
+        let lazy = index.searcher().top_k_from_set(&sources, k_sel).unwrap();
         let eager = index.top_k_from_set_replay(&sources, k_sel).unwrap();
         if let Err(msg) = check_lazy_vs_eager(&lazy, &eager) {
             prop_assert!(false, "n={} sources={:?} k={}: {}", n, sources, k_sel, msg);
@@ -109,16 +106,13 @@ proptest! {
         let q = (q_sel as usize % n) as NodeId;
         let root = (root_sel as usize % n) as NodeId;
         let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
-        let mut searcher = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
+        let mut searcher = index.searcher();
         let rr = searcher.top_k_from_root(q, 5, root).unwrap();
         prop_assert!(!rr.stats.terminated_early);
         prop_assert_eq!(rr.stats.frontier_expanded, rr.stats.reachable);
         // Every node is visited (reached or not), none left behind.
         prop_assert_eq!(rr.stats.visited, n);
-        let replay = Searcher::with_kernel(&index, GatherKernel::Scalar)
-            .unwrap()
-            .top_k_from_root(q, 5, root)
-            .unwrap();
+        let replay = index.searcher().top_k_from_root(q, 5, root).unwrap();
         prop_assert_eq!(rr.stats.clone(), replay.stats.clone());
         let normal = searcher.top_k(q, 5).unwrap();
         for ((x, y), z) in rr.items.iter().zip(&replay.items).zip(&normal.items) {
@@ -187,8 +181,8 @@ fn community_graph_early_termination_skips_frontier_work() {
     assert_eq!(unpruned.stats.reachable, eager.stats.reachable);
 }
 
-/// Under *any* kernel, the lazy loop and the eager-drain replay
-/// (`top_k_eager_into`) are the same search over the same kernel — items
+/// The lazy loop and the eager-drain replay (`top_k_eager_into`) on the
+/// default workspace are the same search over the same gather — items
 /// bit-identical, work counters equal, only the traversal counters differ.
 #[test]
 fn lazy_loop_matches_eager_drain_under_default_kernel() {

@@ -6,7 +6,7 @@
 //! ulp across a save/load cycle would break the exactness guarantee the
 //! whole system is named for.
 
-use kdash_core::{IndexAudit, IndexOptions, KdashIndex, NodeOrdering, PersistError, RowLayout};
+use kdash_core::{IndexAudit, IndexOptions, KdashIndex, NodeOrdering, PersistError};
 use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
@@ -96,9 +96,9 @@ proptest! {
         prop_assert!(KdashIndex::load(&buf[..cut]).is_err(), "cut at {} must fail", cut);
     }
 
-    /// v1 → v2 compatibility: legacy flat-only files keep loading, come
-    /// back as the blocked layout, and answer every sampled query
-    /// bit-identically — across orderings and both source layouts.
+    /// v1 compatibility: legacy flat-only files keep loading, come back
+    /// re-encoded blocked, and answer every sampled query bit-identically
+    /// — across orderings.
     #[test]
     fn v1_files_upgrade_losslessly(
         (graph, ord_sel) in (graph_strategy(), any::<u32>())
@@ -111,7 +111,7 @@ proptest! {
         let mut v1 = Vec::new();
         index.save_v1(&mut v1).unwrap();
         let loaded = KdashIndex::load(v1.as_slice()).unwrap();
-        prop_assert_eq!(loaded.layout(), RowLayout::Blocked, "v1 upgrades to blocked on read");
+        prop_assert_eq!(loaded.uinv_rows(), index.uinv_rows(), "v1 re-encodes blocked on read");
         prop_assert_eq!(loaded.stats().nnz_u_inv, index.stats().nnz_u_inv);
         let n = graph.num_nodes();
         let k = 5usize.min(n);
@@ -207,7 +207,7 @@ fn mark(marks: &[(&'static str, usize)], name: &str) -> usize {
 /// stay exact against what `save` actually wrote.
 fn v2_section_offsets(index: &KdashIndex) -> (usize, usize, usize) {
     let n = index.num_nodes();
-    let runs = index.uinv_rows().as_blocked().expect("blocked default").num_runs();
+    let runs = index.uinv_rows().num_runs();
     let marks = section_marks(index);
     let layout_off = mark(&marks, "linv"); // U⁻¹ starts where L⁻¹'s CRC ends
     let deltas_off = layout_off + 1        // layout tag
@@ -262,8 +262,8 @@ fn inflated_count_fields_error_instead_of_panicking() {
 fn corrupt_row_stats_section_is_rejected() {
     let (index, mut buf) = sample_index();
     let (_, _, stats_off) = v2_section_offsets(&index);
-    // A row-stats table that disagrees with the arrays would silently
-    // mis-steer the adaptive policy; the loader must reject it instead.
+    // A row-stats table that disagrees with the arrays means one of the
+    // two sections is corrupt; the loader must reject it.
     buf[stats_off] ^= 0x5A;
     let err = KdashIndex::load(buf.as_slice()).unwrap_err();
     assert!(
@@ -482,6 +482,47 @@ fn checksum_errors_name_the_failing_section() {
                 assert_ne!(stored, computed);
             }
             other => panic!("flipping {name}'s CRC should mismatch, got: {other}"),
+        }
+    }
+}
+
+/// Golden v5 files for `erdos_renyi(24, 72, 7)` under default options,
+/// written by the v5 writer when it still supported a flat `U⁻¹` row
+/// layout: one blocked-tagged, one flat-tagged.
+const BLOCKED_FIXTURE: &[u8] = include_bytes!("fixtures/er24_blocked_v5.kdash");
+const FLAT_FIXTURE: &[u8] = include_bytes!("fixtures/er24_flat_v5.kdash");
+
+fn fixture_index() -> KdashIndex {
+    KdashIndex::build(&kdash_datagen::erdos_renyi(24, 72, 7), IndexOptions::default()).unwrap()
+}
+
+/// Pins the v5 format: a fresh build saves byte for byte what the golden
+/// blocked file holds, the row-stats section (computed from the rows at
+/// save time) included.
+#[test]
+fn save_is_byte_identical_to_blocked_fixture() {
+    let mut buf = Vec::new();
+    fixture_index().save(&mut buf).unwrap();
+    assert_eq!(buf.len(), BLOCKED_FIXTURE.len());
+    assert!(buf == BLOCKED_FIXTURE, "v5 bytes drifted from the golden blocked file");
+}
+
+/// A flat-tagged `U⁻¹` section still loads, comes back blocked, and
+/// answers top-k bit-identically to a fresh build.
+#[test]
+fn flat_fixture_loads_blocked_with_identical_answers() {
+    let fresh = fixture_index();
+    let loaded = KdashIndex::load(FLAT_FIXTURE).unwrap();
+    assert_eq!(loaded.uinv_rows(), fresh.uinv_rows(), "flat U⁻¹ must be re-encoded blocked");
+    assert!(IndexAudit::run(&loaded).is_clean());
+    let mut resaved = Vec::new();
+    loaded.save(&mut resaved).unwrap();
+    assert!(resaved == BLOCKED_FIXTURE, "a re-saved flat file must carry the blocked tag");
+    for q in 0..24u32 {
+        let (a, b) = (fresh.top_k(q, 6).unwrap(), loaded.top_k(q, 6).unwrap());
+        assert_eq!(a.nodes(), b.nodes(), "query {q}");
+        for (x, y) in a.items.iter().zip(&b.items) {
+            assert_eq!(x.proximity.to_bits(), y.proximity.to_bits(), "query {q}");
         }
     }
 }

@@ -1,8 +1,6 @@
-//! The query-engine equivalence contract, post-lazy-BFS and kernel
-//! dispatch:
+//! The query-engine equivalence contract, post-lazy-BFS:
 //!
-//! * under the **scalar** gather kernel, the lazy `Searcher` path must
-//!   return **bit-identical** proximities — and identical rankings and
+//! * the lazy `Searcher` path must return **bit-identical** proximities — and identical rankings and
 //!   work counters — to the original eager merge-join path
 //!   (`KdashIndex::top_k_merge_join`), across random graphs, random
 //!   queries and every entry-point family. (The gather visits exactly the
@@ -14,12 +12,10 @@
 //!   discovered-so-far count and `frontier_expanded` is strictly below it
 //!   (the death layer was discovered, never expanded). When a search runs
 //!   to completion the two paths must agree exactly.
-//! * under the **default (`Auto`) kernel** the wide gathers re-associate
-//!   the sum, so proximities are only pinned to `1e-12` of the reference —
-//!   the bit-level cross-kernel contracts live in
-//!   `tests/kernel_equivalence.rs`.
+//! * the convenience `KdashIndex::top_k` returns the merge join's items
+//!   bit for bit.
 
-use kdash_core::{GatherKernel, IndexOptions, KdashIndex, NodeOrdering, Searcher};
+use kdash_core::{IndexOptions, KdashIndex, NodeOrdering};
 use kdash_datagen::{barabasi_albert, erdos_renyi};
 use kdash_graph::NodeId;
 use kdash_harness::check_lazy_vs_eager;
@@ -52,7 +48,7 @@ proptest! {
             &graph,
             IndexOptions { restart_probability: c, ..Default::default() },
         ).unwrap();
-        let mut searcher = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
+        let mut searcher = index.searcher();
         for k in [k_sel, n / 2, n + 3] {
             let new = searcher.top_k(q, k).unwrap();
             let old = index.top_k_merge_join(q, k).unwrap();
@@ -69,7 +65,7 @@ proptest! {
     fn reused_searcher_matches_merge_join((graph, k_sel) in (graph_strategy(), 1usize..8)) {
         let n = graph.num_nodes();
         let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
-        let mut searcher = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
+        let mut searcher = index.searcher();
         for q in (0..n as NodeId).step_by(7) {
             let new = searcher.top_k(q, k_sel).unwrap();
             let old = index.top_k_merge_join(q, k_sel).unwrap();
@@ -94,20 +90,17 @@ proptest! {
         ][which];
         let index = KdashIndex::build(&graph, IndexOptions { ordering, ..Default::default() })
             .unwrap();
-        let new = Searcher::with_kernel(&index, GatherKernel::Scalar)
-            .unwrap()
-            .top_k(q, 10)
-            .unwrap();
+        let new = index.searcher().top_k(q, 10).unwrap();
         let old = index.top_k_merge_join(q, 10).unwrap();
         if let Err(msg) = check_lazy_vs_eager(&new, &old) {
             prop_assert!(false, "{:?} n={} q={}: {}", ordering, n, q, msg);
         }
     }
 
-    /// The default (Auto) kernel may re-associate the gather sum but must
-    /// stay within 1e-12 of the merge-join reference per returned node.
+    /// The convenience `KdashIndex::top_k` (a transient `Searcher`)
+    /// returns the merge join's items bit for bit.
     #[test]
-    fn auto_kernel_stays_within_tolerance((graph, q_sel) in
+    fn index_top_k_is_bit_identical_to_merge_join((graph, q_sel) in
         (graph_strategy(), any::<u32>())) {
         let n = graph.num_nodes();
         let q = (q_sel as usize % n) as NodeId;
@@ -115,21 +108,12 @@ proptest! {
         let new = index.top_k(q, 10).unwrap();
         let old = index.top_k_merge_join(q, 10).unwrap();
         prop_assert_eq!(new.items.len(), old.items.len());
-        // Match by node id: last-bit rounding may swap ranks at the k-th
-        // cutoff, so a node in the Auto result can be absent from the
-        // merge-join list — the full vector then supplies its reference.
-        let full = index.full_proximities(q).unwrap();
-        for x in &new.items {
-            let reference = old
-                .items
-                .iter()
-                .find(|y| y.node == x.node)
-                .map(|y| y.proximity)
-                .unwrap_or(full[x.node as usize]);
-            prop_assert!(
-                (x.proximity - reference).abs() <= 1e-12,
-                "node {} ({:?} kernel): {:.17e} vs {:.17e}",
-                x.node, index.searcher().kernel().name(), x.proximity, reference
+        for (x, y) in new.items.iter().zip(&old.items) {
+            prop_assert_eq!(x.node, y.node);
+            prop_assert_eq!(
+                x.proximity.to_bits(),
+                y.proximity.to_bits(),
+                "node {}: {:.17e} vs {:.17e}", x.node, x.proximity, y.proximity
             );
         }
     }
