@@ -9,8 +9,9 @@
 //!   a strided mix, and miss-dominated cold rows): the blocked gather the
 //!   engine runs against the flat-CSR reference gather it is bit-identical
 //!   to.
-//! * `query_engine/*` — end-to-end top-k sweeps: merge-join reference,
-//!   the eager whole-tree-first search, and one reused lazy `Searcher`.
+//! * `query_engine/*` — end-to-end top-k sweeps: the eager merge-join
+//!   oracle (`kdash_harness::eager_merge_join`) and one reused lazy
+//!   `Searcher`.
 //! * `query_engine_k5/*` — the traversal-bound light-query series.
 //!
 //! The setup prints the index-bytes/nnz report, the lazy-frontier
@@ -22,6 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kdash_core::{IndexOptions, KdashIndex, TopKResult};
 use kdash_datagen::{rmat, RmatParams};
 use kdash_graph::NodeId;
+use kdash_harness::eager_merge_join;
 use kdash_sparse::ScatteredColumn;
 
 fn bench(c: &mut Criterion) {
@@ -64,7 +66,7 @@ fn bench(c: &mut Criterion) {
         let (mut bytes, mut val_bytes, mut rows) = (0usize, 0usize, 0usize);
         for &q in &queries {
             let lazy = searcher.top_k(q, k).expect("query");
-            let eager = index.top_k_merge_join(q, k).expect("query");
+            let eager = eager_merge_join(&index, &[q], k).expect("query");
             expanded += lazy.stats.frontier_expanded;
             discovered += lazy.stats.reachable;
             full += eager.stats.reachable;
@@ -191,27 +193,16 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for &q in &queries {
-                total += index.top_k_merge_join(q, k).expect("query").items.len();
+                total += eager_merge_join(&index, &[q], k).expect("query").items.len();
             }
             std::hint::black_box(total)
         });
     });
 
-    // The eager search (whole BFS tree drained before the search loop)
-    // and the lazy production search, each on one reused Searcher.
+    // The lazy production search on one reused Searcher.
     {
         let mut searcher = index.searcher();
         let mut out = TopKResult::default();
-        group.bench_function("eager_reused", |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &q in &queries {
-                    searcher.top_k_eager_into(q, k, &mut out).expect("query");
-                    total += out.items.len();
-                }
-                std::hint::black_box(total)
-            });
-        });
         group.bench_function("lazy_reused", |b| {
             b.iter(|| {
                 let mut total = 0usize;
@@ -237,24 +228,13 @@ fn bench(c: &mut Criterion) {
         for &q in &queries {
             searcher.top_k_into(q, k_light, &mut out).expect("query");
             expanded += out.stats.frontier_expanded;
-            searcher.top_k_eager_into(q, k_light, &mut out).expect("query");
-            full += out.stats.frontier_expanded;
+            full += eager_merge_join(&index, &[q], k_light).expect("query").stats.frontier_expanded;
         }
         println!(
             "k=5 frontier: lazy expands {expanded} nodes vs eager {full} \
              ({:.1}% of the eager traversal)",
             100.0 * expanded as f64 / full.max(1) as f64
         );
-        light.bench_function("eager_reused", |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &q in &queries {
-                    searcher.top_k_eager_into(q, k_light, &mut out).expect("query");
-                    total += out.items.len();
-                }
-                std::hint::black_box(total)
-            });
-        });
         light.bench_function("lazy_reused", |b| {
             b.iter(|| {
                 let mut total = 0usize;

@@ -17,9 +17,11 @@
 
 use kdash_baselines::{Bpa, BpaOptions, IterativeRwr, NbLin, NbLinOptions, TopKEngine};
 use kdash_bench::{all_datasets, dataset, queries_for, HarnessConfig};
-use kdash_core::{IndexOptions, KdashIndex, NodeOrdering};
+use kdash_core::{IndexOptions, KdashIndex, NodeOrdering, Query, Restart, Stop};
 use kdash_datagen::{dictionary, DatasetProfile};
 use kdash_eval::{measure, precision_at_k, Table};
+use kdash_graph::NodeId;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Duration;
 
 fn main() {
@@ -293,8 +295,14 @@ fn fig7(config: &HarnessConfig) {
         let index = KdashIndex::build(&graph, IndexOptions::default()).expect("index");
         let pruned =
             median_query_time(|q| { let _ = index.top_k(q, 5).expect("q"); }, &queries);
-        let unpruned =
-            median_query_time(|q| { let _ = index.top_k_unpruned(q, 5).expect("q"); }, &queries);
+        let unpruned = median_query_time(
+            |q| {
+                let _ = index
+                    .run(&Query { restart: Restart::Node(q), stop: Stop::Unpruned(5) })
+                    .expect("q");
+            },
+            &queries,
+        );
         // Work ratio for context. The lazy frontier stops discovering on
         // early termination, so a pruned run's `reachable` is only the
         // discovered-so-far count — a plain BFS (reachability is
@@ -331,10 +339,13 @@ fn fig9(config: &HarnessConfig) {
         let index = KdashIndex::build(&graph, IndexOptions::default()).expect("index");
         let mut kdash_total = 0usize;
         let mut random_total = 0usize;
+        let mut searcher = index.searcher();
         for (i, &q) in queries.iter().enumerate() {
             kdash_total += index.top_k(q, 5).expect("q").stats.proximity_computations;
-            random_total += index
-                .top_k_random_root(q, 5, config.seed + i as u64)
+            let root = StdRng::seed_from_u64(config.seed + i as u64)
+                .gen_range(0..graph.num_nodes()) as NodeId;
+            random_total += searcher
+                .top_k_from_root(q, 5, root)
                 .expect("q")
                 .stats
                 .proximity_computations;

@@ -3,7 +3,7 @@
 //! ```text
 //! kdash build  <edges.txt> <index.kdash> [--c 0.95] [--ordering hybrid] [--threads 1]
 //!              [--drop-tol 0]
-//! kdash query  <index.kdash> <node> [--k 5] [--set n1,n2,...] [--pruning on]
+//! kdash query  <index.kdash> <node> [--k 5] [--set n1,n2,...] [--theta T] [--pruning on]
 //! kdash update --index <index.kdash> --edits <edits.txt> [--out FILE] [--threads 1]
 //!              [--coalesce] [--dry-run] [--journal]
 //! kdash recover <index.kdash> [--journal PATH] [--out FILE]
@@ -29,12 +29,16 @@
 //! rather than returning a silently approximate answer. `--drop-tol 0`
 //! (the default) is bit-identical to the dense-exact build.
 //!
-//! `query` prints the per-query work counters, including the lazy-BFS `frontier_expanded`/`discovered`
-//! pair — on early-terminated queries `discovered` is the
-//! discovered-so-far count, not full reachability (see
-//! `kdash_core::SearchStats`). `--pruning off` disables the Lemma 2
-//! termination, so pruned-vs-unpruned ablations (the paper's Figure 7)
-//! run straight from the command line.
+//! `query` runs one `kdash_core::Query`: `--set` widens the restart from
+//! the node to a restart set, `--theta` asks for every node at or above
+//! the threshold instead of the top k, and `--pruning off` disables the
+//! Lemma 2 termination of a top-k query (from a node or a set), so
+//! pruned-vs-unpruned ablations (the paper's Figure 7) run straight from
+//! the command line. A threshold query has no pruning switch. `query`
+//! prints the per-query work counters, including the lazy-BFS
+//! `frontier_expanded`/`discovered` pair — on early-terminated queries
+//! `discovered` is the discovered-so-far count, not full reachability
+//! (see `kdash_core::SearchStats`).
 //!
 //! `update` applies an edit stream to a built index **incrementally**:
 //! only the `L⁻¹`/`U⁻¹` columns inside the Gilbert–Peierls reach of the
@@ -105,7 +109,7 @@
 
 use kdash_core::{
     save_atomic, BuildStage, IndexAudit, IndexBuilder, IndexOptions, KdashIndex, NodeOrdering,
-    Searcher,
+    Query, Restart, Searcher, Stop, TopKResult,
 };
 use kdash_datagen::DatasetProfile;
 use kdash_dynamic::{DynamicIndex, Journal, RecoveryReport, UpdateBatch};
@@ -319,6 +323,37 @@ fn load_index(path: &str) -> Result<KdashIndex, String> {
     KdashIndex::load(BufReader::new(file)).map_err(|e| e.to_string())
 }
 
+/// The one [`Query`] `kdash query` runs for the node behind `sources`
+/// (its only element on entry): `--set` members join the restart, and
+/// the stop is `--theta`'s threshold, or the top `--k` — unpruned under
+/// `--pruning off`. A threshold stop has no pruning switch.
+fn query_from_flags<'s>(
+    flags: &[(&str, &str)],
+    sources: &'s mut Vec<u32>,
+) -> Result<Query<'s>, String> {
+    let k: usize = flag(flags, "k").unwrap_or("5").parse().map_err(|_| "invalid --k")?;
+    let pruning = match flag(flags, "pruning").unwrap_or("on") {
+        "on" => true,
+        "off" => false,
+        other => return Err(format!("invalid --pruning '{other}' (expected on or off)")),
+    };
+    let stop = match (flag(flags, "theta"), pruning) {
+        (Some(_), false) => return Err("--pruning off applies to top-k queries, not --theta".into()),
+        (Some(text), true) => Stop::Above(text.parse().map_err(|_| "invalid --theta")?),
+        (None, true) => Stop::TopK(k),
+        (None, false) => Stop::Unpruned(k),
+    };
+    for tok in flag(flags, "set").unwrap_or("").split(',').filter(|s| !s.is_empty()) {
+        sources.push(tok.parse().map_err(|_| format!("invalid set member '{tok}'"))?);
+    }
+    let sources: &'s [u32] = sources;
+    let restart = match sources {
+        [q] => Restart::Node(*q),
+        set => Restart::Set(set),
+    };
+    Ok(Query { restart, stop })
+}
+
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args, &[])?;
     reject_unknown_flags(&flags, &["k", "set", "theta", "pruning"])?;
@@ -328,36 +363,14 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             .into());
     };
     let q: u32 = node_text.parse().map_err(|_| "invalid node id")?;
-    let k: usize = flag(&flags, "k").unwrap_or("5").parse().map_err(|_| "invalid --k")?;
-    let pruning = match flag(&flags, "pruning").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("invalid --pruning '{other}' (expected on or off)")),
-    };
+    let mut sources = vec![q];
+    let query = query_from_flags(&flags, &mut sources)?;
     let index = load_index(index_path)?;
     let mut searcher = Searcher::new(&index);
+    let mut result = TopKResult::default();
 
     let t = Instant::now();
-    let result = if let Some(theta_text) = flag(&flags, "theta") {
-        if !pruning {
-            return Err("--pruning off applies to top-k queries, not --theta".into());
-        }
-        let theta: f64 = theta_text.parse().map_err(|_| "invalid --theta")?;
-        searcher.nodes_above(q, theta).map_err(|e| e.to_string())?
-    } else if let Some(set_text) = flag(&flags, "set") {
-        if !pruning {
-            return Err("--pruning off applies to single-source top-k, not --set".into());
-        }
-        let mut sources: Vec<u32> = vec![q];
-        for tok in set_text.split(',').filter(|s| !s.is_empty()) {
-            sources.push(tok.parse().map_err(|_| format!("invalid set member '{tok}'"))?);
-        }
-        searcher.top_k_from_set(&sources, k).map_err(|e| e.to_string())?
-    } else if pruning {
-        searcher.top_k(q, k).map_err(|e| e.to_string())?
-    } else {
-        searcher.top_k_unpruned(q, k).map_err(|e| e.to_string())?
-    };
+    searcher.run(&query, &mut result).map_err(|e| e.to_string())?;
     let elapsed = t.elapsed();
 
     for (rank, item) in result.items.iter().enumerate() {
@@ -1204,5 +1217,31 @@ mod tests {
         let err =
             cmd_build(&args(&["missing.txt", "missing.kdash", "--layout", "flat"])).unwrap_err();
         assert!(err.starts_with("unknown flag --layout"), "{err}");
+    }
+
+    /// `--pruning off --set` runs the unpruned restart-set query;
+    /// `--pruning off --theta` is rejected before any file is opened,
+    /// since a threshold stop has no pruning switch.
+    #[test]
+    fn pruning_off_composes_with_set_but_not_theta() {
+        let mut sources = vec![3];
+        let query = query_from_flags(&[("pruning", "off"), ("set", "4,5")], &mut sources).unwrap();
+        assert_eq!(query, Query { restart: Restart::Set(&[3, 4, 5]), stop: Stop::Unpruned(5) });
+        let err = cmd_query(&args(&["missing.kdash", "3", "--pruning", "off", "--theta", "0.01"]))
+            .unwrap_err();
+        assert_eq!(err, "--pruning off applies to top-k queries, not --theta");
+
+        let dir = std::env::temp_dir().join(format!("kdash-cli-query-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ring.kdash");
+        let mut b = kdash_graph::GraphBuilder::new(8);
+        for v in 0..8u32 {
+            b.add_edge(v, (v + 1) % 8, 1.0);
+        }
+        let index = KdashIndex::build(&b.build().unwrap(), IndexOptions::default()).unwrap();
+        save_atomic(&index, &path).unwrap();
+        let ran = cmd_query(&args(&[path.to_str().unwrap(), "3", "--pruning", "off", "--set", "4,5"]));
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(ran, Ok(()));
     }
 }

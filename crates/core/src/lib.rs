@@ -39,6 +39,17 @@
 //! The default [`IndexOptions`] use the paper's settings: hybrid reordering
 //! and restart probability `c = 0.95`.
 //!
+//! ## One query engine
+//!
+//! Every query is a [`Query`]: a [`Restart`] — one node, or a restart set
+//! the walk returns to uniformly (the paper's footnote 6) — and a
+//! [`Stop`] — the top k, every node at or above a threshold θ, or the top
+//! k without Lemma-2 pruning (the Figure 7 ablation). [`Searcher::run`]
+//! answers all six combinations with one Lemma-2 loop;
+//! [`KdashIndex::run`] runs one on a transient workspace, and
+//! [`KdashIndex::top_k`] is the paper's single-node top-k (the
+//! [`Searcher`] docs show a `Query` in use).
+//!
 //! ## Building at scale: the staged [`IndexBuilder`] pipeline
 //!
 //! [`KdashIndex::build`] is a convenience wrapper over a five-stage
@@ -74,7 +85,8 @@
 //! [`KdashIndex::top_k`] builds a transient query workspace per call. A
 //! serving loop should hold a [`Searcher`] instead: the `O(n)` BFS and
 //! scatter buffers are allocated once and every query after the first
-//! allocates nothing (with [`Searcher::top_k_into`]) — the per-candidate
+//! allocates nothing (with [`Searcher::top_k_into`], or any single-node
+//! [`Searcher::run`]) — the per-candidate
 //! work drops to a dense gather over the stored `U⁻¹` row.
 //!
 //! ```
@@ -124,7 +136,7 @@
 //!   stamp-checked gather of a blocked row against the scattered query
 //!   column, bit-identical to the merge join; the per-query byte traffic
 //!   and gathered-row count are recorded in [`SearchStats`].
-//! * **Prefetched candidate batching** — the search loops prefetch the
+//! * **Prefetched candidate batching** — the search loop prefetches the
 //!   next block of candidate rows' index/value spans while the current
 //!   row gathers, restoring memory-level parallelism on DRAM-resident
 //!   indexes.
@@ -261,7 +273,7 @@ pub use pipeline::{BuildReport, BuildStage, IndexBuilder, StageTiming};
 pub use precompute::{IndexOptions, KdashIndex};
 #[doc(hidden)]
 pub use precompute::IndexPatch;
-pub use search::{RankedNode, TopKResult};
+pub use search::{Query, RankedNode, Restart, Stop, TopKResult};
 pub use searcher::{BudgetLimit, QueryBudget, Searcher};
 pub use stats::{IndexStats, SearchStats};
 

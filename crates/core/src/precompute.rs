@@ -297,13 +297,7 @@ impl KdashIndex {
     /// [`KdashError::RefinementFailed`](crate::KdashError) if the
     /// tolerance was set too aggressively for the loop to contract).
     pub fn full_proximities(&self, q: NodeId) -> Result<Vec<f64>> {
-        self.check_node(q)?;
-        if self.needs_refinement() {
-            return self.searcher().refined_full_proximities(&[q]);
-        }
-        let qi = self.perm.new_of(q);
-        let (idx, val) = self.linv.col(qi);
-        Ok(self.proximities_from_query_column(idx, val))
+        self.full_proximities_from_set(&[q])
     }
 
     /// Full proximity vector for a *restart set*: the walk restarts
@@ -315,24 +309,18 @@ impl KdashIndex {
         if self.needs_refinement() {
             return self.searcher().refined_full_proximities(sources);
         }
+        // Scatter the merged L⁻¹ column, apply U⁻¹, scale by c, and
+        // un-permute into original ids.
         let (idx, val) = self.merged_query_column(sources)?;
-        Ok(self.proximities_from_query_column(&idx, &val))
-    }
-
-    /// Shared tail of the `full_proximities*` paths: scatters a (merged)
-    /// query column of `L⁻¹`, applies `U⁻¹`, scales by `c`, and un-permutes
-    /// the result into original node ids.
-    fn proximities_from_query_column(&self, idx: &[NodeId], val: &[f64]) -> Vec<f64> {
-        let n = self.num_nodes();
-        let mut y = vec![0.0; n];
-        for (&i, &v) in idx.iter().zip(val) {
+        let mut y = vec![0.0; self.num_nodes()];
+        for (&i, &v) in idx.iter().zip(&val) {
             y[i as usize] = v;
         }
         let mut permuted = self.uinv.matvec(&y);
         for p in &mut permuted {
             *p *= self.c;
         }
-        self.perm.unpermute_values(&permuted)
+        Ok(self.perm.unpermute_values(&permuted))
     }
 
     /// Merges the `L⁻¹` columns of a restart set into one sorted sparse
@@ -362,7 +350,9 @@ impl KdashIndex {
             let (idx, val) = self.linv.col(self.perm.new_of(s));
             pairs.extend(idx.iter().zip(val).map(|(&i, &v)| (i, v * weight)));
         }
-        pairs.sort_unstable_by_key(|&(i, _)| i);
+        // Stable: a row shared by several sources sums in restart-set
+        // order, so the merged column depends on nothing but the set.
+        pairs.sort_by_key(|&(i, _)| i);
         let mut out_idx: Vec<NodeId> = Vec::with_capacity(pairs.len());
         let mut out_val: Vec<f64> = Vec::with_capacity(pairs.len());
         for (i, v) in pairs {

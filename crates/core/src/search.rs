@@ -1,51 +1,81 @@
-//! The top-k search (Algorithm 4 of the paper) — public entry points.
+//! The query specification and its answer — the public face of the
+//! top-k search (Algorithm 4 of the paper).
 //!
-//! Nodes are visited in BFS-layer order from the query node. Each visited
-//! node first receives the `O(1)` upper bound of Definition 2; if the bound
-//! of the node about to be visited is below the current K-th candidate
-//! proximity θ, the whole search terminates — Lemma 2 guarantees every
-//! remaining node is bounded by the same value, so no answer can be missed
-//! (Theorem 2). Surviving nodes get their exact proximity from the stored
-//! sparse inverses.
+//! Nodes are visited in BFS-layer order from the restart node(s). Each
+//! visited node first receives the `O(1)` upper bound of Definition 2; if
+//! the bound of the node about to be visited falls below the current K-th
+//! candidate proximity θ, the whole search terminates — Lemma 2
+//! guarantees every remaining node is bounded by the same value, so no
+//! answer can be missed (Theorem 2). Surviving nodes get their exact
+//! proximity from the stored sparse inverses.
 //!
-//! The production path expands the BFS frontier **lazily**, fused into the
-//! search loop: early termination leaves every deeper layer undiscovered,
-//! so [`SearchStats::reachable`] reports the discovered-so-far count on
-//! early-terminated queries (exact reachability when the search runs to
-//! completion) and [`SearchStats::frontier_expanded`] counts the nodes
-//! actually expanded — see [`crate::SearchStats`] for the full contract.
-//! The eager reference paths below ([`KdashIndex::top_k_merge_join`],
-//! [`KdashIndex::top_k_from_set_replay`]) keep the original
-//! whole-tree-first behaviour and full `reachable` counts.
+//! Every query is one [`Query`]:
 //!
-//! The algorithms live in [`crate::searcher`]: a [`Searcher`] holds the
-//! reusable per-query state (epoch-stamped BFS buffers, the scattered
-//! query column, the candidate heap) and serves every query kind. The
-//! `KdashIndex` methods below are thin conveniences that run a transient
-//! workspace per call — serving loops should hold a `Searcher` instead:
+//! * a [`Restart`] — where the walk restarts: one query node, or
+//!   uniformly over a restart set (Personalized PageRank in the sense of
+//!   the paper's footnote 6), whose members all form layer 0;
+//! * a [`Stop`] — what the query returns and so when the search may
+//!   stop: the k best nodes, every node at or above a threshold θ (an
+//!   extension the same bound enables), or the k best with the
+//!   termination test removed (the "Without pruning" series of
+//!   Figure 7).
 //!
-//! * [`KdashIndex::top_k`] — the real algorithm,
-//! * [`KdashIndex::top_k_unpruned`] — pruning disabled (Figure 7 ablation),
-//! * [`KdashIndex::nodes_above`] — exact threshold queries,
-//! * [`KdashIndex::top_k_from_set`] — restart sets (Personalized PageRank),
-//! * [`KdashIndex::top_k_random_root`] — BFS tree rooted away from the
-//!   query (Appendix D.1 / Figure 9 ablation). A tree rooted elsewhere
-//!   breaks the layer structure Definition 1 needs, so this variant uses
-//!   the weaker order-agnostic bound of
-//!   [`ArbitraryOrderBound`](crate::ArbitraryOrderBound): still exact, can
-//!   skip individual nodes, but can never terminate early — which is
-//!   precisely why it performs many more proximity computations.
+//! [`Searcher::run`] answers all six combinations with one loop (see
+//! [`crate::searcher`]); serving loops hold a `Searcher`.
+//! [`KdashIndex::run`] and [`KdashIndex::top_k`] are conveniences over a
+//! transient workspace. The Appendix D.1 ablation — the BFS tree rooted
+//! away from the query — is [`Searcher::top_k_from_root`]: a tree rooted
+//! elsewhere breaks the layer structure Definition 1 needs, so it uses
+//! the weaker order-agnostic bound of
+//! [`ArbitraryOrderBound`](crate::ArbitraryOrderBound): still exact, can
+//! skip individual nodes, but can never terminate early.
 //!
-//! [`KdashIndex::top_k_merge_join`] preserves the original per-candidate
-//! merge-join kernel. It is deliberately *not* routed through the
-//! [`Searcher`]: it is the independent reference implementation the
-//! equivalence suite cross-checks the scatter/gather path against
-//! (bit-identical proximities), and the baseline the `query_engine`
-//! benchmark measures the new kernel's speedup from.
+//! The search expands the BFS frontier **lazily**: early termination
+//! leaves every deeper layer undiscovered, so [`SearchStats::reachable`]
+//! reports the discovered-so-far count on early-terminated queries —
+//! see [`crate::SearchStats`] for the full contract. The eager merge-join
+//! oracle that pins every dense answer bit for bit lives outside the
+//! library, in `kdash_harness::eager_merge_join`.
 
-use crate::{KdashIndex, LayerEstimator, Result, SearchStats, Searcher};
-use crate::searcher::TopKHeap;
-use kdash_graph::{bfs::UNREACHABLE, BfsTree, NodeId};
+use crate::{KdashIndex, Result, SearchStats, Searcher};
+use kdash_graph::NodeId;
+
+/// Where the random walk restarts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Restart<'a> {
+    /// One query node — the paper's setting.
+    Node(NodeId),
+    /// A restart set: the walk restarts uniformly over these nodes. It
+    /// must be non-empty and duplicate-free.
+    Set(&'a [NodeId]),
+}
+
+/// What a query returns, and so when its search may stop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Stop {
+    /// The `k` nodes of highest proximity, in descending order; the
+    /// search stops once the heap is full and the bound falls below the
+    /// k-th best proximity. When fewer than `k` nodes are reachable the
+    /// answer is padded with unreachable nodes at proximity 0.
+    TopK(usize),
+    /// Every node whose proximity is at least θ, in descending order; the
+    /// search stops once the bound falls below θ. θ must be positive and
+    /// finite ([`KdashError::InvalidThreshold`](crate::KdashError)
+    /// otherwise).
+    Above(f64),
+    /// [`TopK`](Stop::TopK) with the termination test removed: every
+    /// reachable node's proximity is computed. Same answer, all the work.
+    Unpruned(usize),
+}
+
+/// One query: a restart distribution and a stop rule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Query<'a> {
+    /// Where the walk restarts.
+    pub restart: Restart<'a>,
+    /// What the query returns.
+    pub stop: Stop,
+}
 
 /// One answer entry: a node and its exact RWR proximity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,10 +86,12 @@ pub struct RankedNode {
     pub proximity: f64,
 }
 
-/// The result of a top-k query.
+/// The result of a query.
 #[derive(Debug, Clone, Default)]
 pub struct TopKResult {
-    /// Exactly `min(k, n)` nodes in descending proximity order.
+    /// The answer in descending proximity order (ties by ascending
+    /// permuted node id): `min(k, n)` nodes for a top-k stop, every hit
+    /// for a threshold stop.
     pub items: Vec<RankedNode>,
     /// Work counters for this query.
     pub stats: SearchStats,
@@ -79,9 +111,10 @@ impl KdashIndex {
         Searcher::new(self)
     }
 
-    /// Exact top-k search (Algorithm 4). Returns `min(k, n)` nodes in
-    /// descending proximity order; when fewer than `k` nodes are reachable
-    /// the remainder is padded with unreachable nodes at proximity 0.
+    /// Exact top-k search (Algorithm 4) from one node. Returns `min(k, n)`
+    /// nodes in descending proximity order; when fewer than `k` nodes are
+    /// reachable the remainder is padded with unreachable nodes at
+    /// proximity 0.
     ///
     /// Convenience wrapper over a transient [`Searcher`]; hold one
     /// yourself to amortise the `O(n)` workspace setup across queries.
@@ -89,207 +122,19 @@ impl KdashIndex {
         self.searcher().top_k(q, k)
     }
 
-    /// Algorithm 4 with the termination test removed: computes the exact
-    /// proximity of every reachable node. This is the "Without pruning"
-    /// series of Figure 7.
-    pub fn top_k_unpruned(&self, q: NodeId, k: usize) -> Result<TopKResult> {
-        self.searcher().top_k_unpruned(q, k)
-    }
-
-    /// Exact *threshold* query: every node whose proximity is at least
-    /// `theta`, in descending order. Non-positive or non-finite `theta`
-    /// returns [`KdashError::InvalidThreshold`](crate::KdashError).
-    pub fn nodes_above(&self, q: NodeId, theta: f64) -> Result<TopKResult> {
-        self.searcher().nodes_above(q, theta)
-    }
-
-    /// Exact top-k for a *restart set*: the walk restarts uniformly over
-    /// `sources` (Personalized PageRank in the sense of the paper's
-    /// footnote 6).
-    pub fn top_k_from_set(&self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
-        self.searcher().top_k_from_set(sources, k)
-    }
-
-    /// The Appendix D.1 ablation: the search tree is rooted at a random
-    /// node instead of the query.
-    pub fn top_k_random_root(&self, q: NodeId, k: usize, seed: u64) -> Result<TopKResult> {
-        self.searcher().top_k_random_root(q, k, seed)
-    }
-
-    /// Random-root search with an explicit root (exposed for tests).
-    pub fn top_k_from_root(&self, q: NodeId, k: usize, root: NodeId) -> Result<TopKResult> {
-        self.searcher().top_k_from_root(q, k, root)
-    }
-
-    /// The original Algorithm 4 implementation with the per-candidate
-    /// merge-join proximity kernel (`O(nnz(row) + nnz(col))` per node),
-    /// per-query buffer allocation, and the **eager** BFS tree (the whole
-    /// reachable set is enumerated up front — its `reachable` is always
-    /// the full count and `frontier_expanded` equals it, unlike the lazy
-    /// production path, which stops discovering on early termination).
-    ///
-    /// Kept as the independent exactness reference for the scatter/gather
-    /// path and the lazy driver's oracle: results must be bit-identical to
-    /// [`top_k`](Self::top_k), and
-    /// `tests/query_engine_equivalence.rs` plus the `query_engine`
-    /// benchmark hold the two implementations against each other.
-    pub fn top_k_merge_join(&self, q: NodeId, k: usize) -> Result<TopKResult> {
-        self.check_node(q)?;
-        // Mirror the Searcher's k = 0 short-circuit so the two paths stay
-        // comparable down to their work counters.
-        if k == 0 {
-            return Ok(TopKResult::default());
-        }
-        if self.needs_refinement() {
-            // The merge join reads raw sparsified rows, so its "reference"
-            // values would be approximate — route through the certified
-            // searcher instead. The equivalence contract on sparsified
-            // tiers is set-and-order, not bitwise.
-            return self.searcher().top_k(q, k);
-        }
-        let qp = self.permutation().new_of(q);
-        let bfs = BfsTree::new(self.permuted_graph(), qp);
-        let (col_idx, col_val) = self.linv().col(qp);
-        let c = self.restart_probability();
-
-        let mut heap = TopKHeap::new(k);
-        let mut estimator = LayerEstimator::new(self.a_max());
-        // Eager semantics: the whole tree exists before the search starts.
-        let mut stats = SearchStats {
-            reachable: bfs.num_reachable(),
-            frontier_expanded: bfs.num_reachable(),
-            ..Default::default()
-        };
-
-        for (pos, &u) in bfs.order.iter().enumerate() {
-            stats.visited += 1;
-            let layer = bfs.layer[u as usize];
-            if pos == 0 {
-                let p = c * self.uinv().row_dot_sparse(u, col_idx, col_val);
-                stats.proximity_computations += 1;
-                estimator.record_root(p, self.a_col_max()[u as usize]);
-                heap.offer(p, u);
-                continue;
-            }
-            let terms = estimator.advance(layer);
-            if heap.is_full() && self.c_prime_max() * terms < heap.threshold() {
-                stats.terminated_early = true;
-                break;
-            }
-            let p = c * self.uinv().row_dot_sparse(u, col_idx, col_val);
-            stats.proximity_computations += 1;
-            estimator.record_selected(layer, p, self.a_col_max()[u as usize]);
-            heap.offer(p, u);
-        }
-
-        // Same epilogue as the Searcher: rank order, original ids, padded
-        // with unreachable nodes (which can never collide with heap
-        // entries — those are all reachable).
-        let mut items: Vec<RankedNode> = heap
-            .sorted_entries()
-            .iter()
-            .map(|&(p, u)| RankedNode { node: self.permutation().old_of(u), proximity: p })
-            .collect();
-        if items.len() < k {
-            for v in 0..self.num_nodes() as NodeId {
-                if items.len() >= k {
-                    break;
-                }
-                if bfs.layer[v as usize] == UNREACHABLE {
-                    items.push(RankedNode {
-                        node: self.permutation().old_of(v),
-                        proximity: 0.0,
-                    });
-                }
-            }
-        }
-        Ok(TopKResult { items, stats })
-    }
-
-    /// The eager-BFS, merge-join replay of
-    /// [`top_k_from_set`](Self::top_k_from_set): the multi-root tree
-    /// ([`BfsTree::new_multi`]) is built in full before the search starts
-    /// and every proximity is a two-pointer merge join. The multi-root
-    /// counterpart of [`top_k_merge_join`](Self::top_k_merge_join), kept
-    /// (hidden) as the oracle the lazy restart-set search is property-
-    /// tested against: results are bit-identical, and `visited`/`proximity_computations`/`terminated_early` agree,
-    /// while `reachable`/`frontier_expanded` carry the eager semantics
-    /// (always the full reachable count).
-    #[doc(hidden)]
-    pub fn top_k_from_set_replay(&self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
-        let (col_idx, col_val) = self.merged_query_column(sources)?;
-        if k == 0 {
-            return Ok(TopKResult::default());
-        }
-        if self.needs_refinement() {
-            // Same routing as `top_k_merge_join`: raw sparsified gathers
-            // cannot serve as a reference, the certified path can.
-            return self.searcher().top_k_from_set(sources, k);
-        }
-        let roots: Vec<NodeId> =
-            sources.iter().map(|&s| self.permutation().new_of(s)).collect();
-        let bfs = BfsTree::new_multi(self.permuted_graph(), &roots);
-        let c = self.restart_probability();
-
-        let mut heap = TopKHeap::new(k);
-        let mut estimator = LayerEstimator::new(self.a_max());
-        let mut stats = SearchStats {
-            reachable: bfs.num_reachable(),
-            frontier_expanded: bfs.num_reachable(),
-            ..Default::default()
-        };
-
-        for (pos, &u) in bfs.order.iter().enumerate() {
-            stats.visited += 1;
-            let layer = bfs.layer[u as usize];
-            if layer == 0 {
-                let p = c * self.uinv().row_dot_sparse(u, &col_idx, &col_val);
-                stats.proximity_computations += 1;
-                if pos > 0 {
-                    let _ = estimator.advance(0);
-                }
-                estimator.record_selected(0, p, self.a_col_max()[u as usize]);
-                heap.offer(p, u);
-                continue;
-            }
-            let terms = estimator.advance(layer);
-            if heap.is_full() && self.c_prime_max() * terms < heap.threshold() {
-                stats.terminated_early = true;
-                break;
-            }
-            let p = c * self.uinv().row_dot_sparse(u, &col_idx, &col_val);
-            stats.proximity_computations += 1;
-            estimator.record_selected(layer, p, self.a_col_max()[u as usize]);
-            heap.offer(p, u);
-        }
-
-        let mut items: Vec<RankedNode> = heap
-            .sorted_entries()
-            .iter()
-            .map(|&(p, u)| RankedNode { node: self.permutation().old_of(u), proximity: p })
-            .collect();
-        if items.len() < k {
-            for v in 0..self.num_nodes() as NodeId {
-                if items.len() >= k {
-                    break;
-                }
-                if bfs.layer[v as usize] == UNREACHABLE {
-                    items.push(RankedNode {
-                        node: self.permutation().old_of(v),
-                        proximity: 0.0,
-                    });
-                }
-            }
-        }
-        Ok(TopKResult { items, stats })
+    /// Answers any [`Query`] on a transient [`Searcher`] (see
+    /// [`Searcher::run`]).
+    pub fn run(&self, query: &Query<'_>) -> Result<TopKResult> {
+        let mut out = TopKResult::default();
+        self.searcher().run(query, &mut out).map(|()| out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IndexOptions, KdashError, KdashIndex, NodeOrdering};
-    use kdash_graph::{CsrGraph, GraphBuilder};
+    use crate::{IndexOptions, KdashError, KdashIndex, LayerEstimator, NodeOrdering};
+    use kdash_graph::{BfsTree, CsrGraph, GraphBuilder};
     use kdash_sparse::{rwr::rwr_step, transition_matrix, DanglingPolicy};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -322,6 +167,14 @@ mod tests {
         pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         pairs.truncate(k);
         pairs
+    }
+
+    fn node(index: &KdashIndex, q: NodeId, stop: Stop) -> crate::Result<TopKResult> {
+        index.run(&Query { restart: Restart::Node(q), stop })
+    }
+
+    fn set(index: &KdashIndex, sources: &[NodeId], k: usize) -> crate::Result<TopKResult> {
+        index.run(&Query { restart: Restart::Set(sources), stop: Stop::TopK(k) })
     }
 
     /// The exactness contract: the returned proximity multiset must match
@@ -373,58 +226,12 @@ mod tests {
         let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
         for q in [2u32, 31, 77] {
             let a = index.top_k(q, 8).unwrap();
-            let b = index.top_k_unpruned(q, 8).unwrap();
+            let b = node(&index, q, Stop::Unpruned(8)).unwrap();
             for (x, y) in a.items.iter().zip(&b.items) {
                 assert!((x.proximity - y.proximity).abs() < 1e-12);
             }
             // Pruning can only reduce work.
             assert!(a.stats.proximity_computations <= b.stats.proximity_computations);
-        }
-    }
-
-    #[test]
-    fn merge_join_reference_is_bit_identical() {
-        for seed in [0u64, 4, 8] {
-            let g = random_graph(90, 4, seed);
-            let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
-            let mut searcher = index.searcher();
-            for q in [0u32, 33, 71] {
-                for k in [1usize, 6, 90, 120] {
-                    let new = searcher.top_k(q, k).unwrap();
-                    let old = index.top_k_merge_join(q, k).unwrap();
-                    assert_eq!(new.items.len(), old.items.len());
-                    for (x, y) in new.items.iter().zip(&old.items) {
-                        assert_eq!(x.node, y.node, "seed {seed} q {q} k {k}");
-                        assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
-                    }
-                    // Work counters agree; the traversal counters follow
-                    // lazy vs eager semantics (see SearchStats::reachable).
-                    assert_eq!(new.stats.visited, old.stats.visited);
-                    assert_eq!(
-                        new.stats.proximity_computations,
-                        old.stats.proximity_computations
-                    );
-                    assert_eq!(new.stats.terminated_early, old.stats.terminated_early);
-                    assert_eq!(old.stats.frontier_expanded, old.stats.reachable);
-                    if new.stats.terminated_early {
-                        assert!(new.stats.reachable <= old.stats.reachable);
-                        assert!(
-                            new.stats.frontier_expanded < new.stats.reachable,
-                            "early termination must leave the last layer unexpanded"
-                        );
-                    } else {
-                        // The merge join never runs the gather kernel, so
-                        // its byte counters stay zero — everything else
-                        // must agree exactly on complete runs.
-                        assert_eq!(
-                            new.stats.without_gather(),
-                            old.stats.without_gather(),
-                            "full runs agree exactly"
-                        );
-                        assert!(new.stats.bytes_touched > 0, "gather path must account bytes");
-                    }
-                }
-            }
         }
     }
 
@@ -466,7 +273,7 @@ mod tests {
         for q in [4u32, 55] {
             let normal = index.top_k(q, 5).unwrap();
             for root in [0u32, 50, 99] {
-                let rr = index.top_k_from_root(q, 5, root).unwrap();
+                let rr = index.searcher().top_k_from_root(q, 5, root).unwrap();
                 for (x, y) in normal.items.iter().zip(&rr.items) {
                     assert!(
                         (x.proximity - y.proximity).abs() < 1e-9,
@@ -569,7 +376,7 @@ mod tests {
         for q in [0u32, 25, 77] {
             let full = index.full_proximities(q).unwrap();
             for theta in [1e-2, 1e-4, 1e-7] {
-                let got = index.nodes_above(q, theta).unwrap();
+                let got = node(&index, q, Stop::Above(theta)).unwrap();
                 let mut expect: Vec<(NodeId, f64)> = full
                     .iter()
                     .enumerate()
@@ -589,7 +396,7 @@ mod tests {
     fn threshold_query_terminates_early_for_high_theta() {
         let g = random_graph(200, 4, 15);
         let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
-        let r = index.nodes_above(5, 0.05).unwrap();
+        let r = node(&index, 5, Stop::Above(0.05)).unwrap();
         assert!(r.stats.terminated_early);
         assert!(r.stats.proximity_computations < 200);
         // The query itself always clears any theta <= c.
@@ -603,7 +410,7 @@ mod tests {
         let g = random_graph(10, 2, 16);
         let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
         for theta in [0.0, -0.5, f64::NAN, f64::INFINITY] {
-            match index.nodes_above(0, theta) {
+            match node(&index, 0, Stop::Above(theta)) {
                 Err(KdashError::InvalidThreshold { .. }) => {}
                 other => panic!("theta {theta}: expected InvalidThreshold, got {other:?}"),
             }
@@ -642,7 +449,7 @@ mod tests {
         let mut truth: Vec<(NodeId, f64)> =
             avg.iter().enumerate().map(|(i, &v)| (i as NodeId, v)).collect();
         truth.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        let result = index.top_k_from_set(&sources, 8).unwrap();
+        let result = set(&index, &sources, 8).unwrap();
         for (got, want) in result.items.iter().zip(&truth) {
             assert!(
                 (got.proximity - want.1).abs() < 1e-9,
@@ -658,7 +465,7 @@ mod tests {
         let g = random_graph(50, 3, 8);
         let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
         let a = index.top_k(7, 6).unwrap();
-        let b = index.top_k_from_set(&[7], 6).unwrap();
+        let b = set(&index, &[7], 6).unwrap();
         for (x, y) in a.items.iter().zip(&b.items) {
             assert_eq!(x.node, y.node);
             assert!((x.proximity - y.proximity).abs() < 1e-12);
@@ -670,16 +477,16 @@ mod tests {
         let g = random_graph(20, 3, 5);
         let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
         assert!(matches!(
-            index.top_k_from_set(&[], 3),
+            set(&index, &[], 3),
             Err(crate::KdashError::InvalidRestartSet { .. })
         ));
         assert!(matches!(
-            index.top_k_from_set(&[1, 1], 3),
+            set(&index, &[1, 1], 3),
             Err(crate::KdashError::InvalidRestartSet { .. })
         ));
         // An out-of-range member is a node error, not a set-shape error.
         assert!(matches!(
-            index.top_k_from_set(&[99], 3),
+            set(&index, &[99], 3),
             Err(crate::KdashError::NodeOutOfBounds { node: 99, .. })
         ));
     }

@@ -1,16 +1,28 @@
-//! The reusable query workspace.
+//! The reusable query workspace and the one query engine.
 //!
-//! A [`Searcher`] owns every piece of per-query state the top-k search
-//! needs — the epoch-stamped BFS buffers ([`kdash_graph::BfsScratch`]),
-//! the scattered query column ([`kdash_sparse::ScatteredColumn`]), the
-//! top-k heap and the threshold-hit scratch — so a serving loop pays the
-//! `O(n)` allocations once and every subsequent query touches only the
-//! state it actually visits. Once the buffers have reached their
-//! high-water mark (i.e. after warm-up queries covering the largest
-//! reachable set and `k` the loop will serve),
-//! [`Searcher::top_k_into`] performs **zero heap allocations** (the
+//! A [`Searcher`] owns every piece of per-query state the search needs —
+//! the epoch-stamped BFS buffers ([`kdash_graph::BfsScratch`]), the
+//! scattered query column ([`kdash_sparse::ScatteredColumn`]) and the
+//! top-k heap — so a serving loop pays the `O(n)` allocations once and
+//! every subsequent query touches only the state it actually visits. Once
+//! the buffers have reached their high-water mark (i.e. after warm-up
+//! queries covering the largest reachable set, `k` and hit count the loop
+//! will serve), single-node [`Searcher::run`] calls — and so
+//! [`Searcher::top_k_into`] — perform **zero heap allocations** (the
 //! `tests/zero_alloc.rs` integration test pins this down with a counting
 //! allocator).
+//!
+//! # One engine
+//!
+//! [`Searcher::run`] answers every [`Query`]: a [`Restart`] (one node or
+//! a restart set) crossed with a [`Stop`] (top-k, threshold, or top-k
+//! without pruning). One prologue loads the `L⁻¹` column and seeds the
+//! BFS at the restart nodes; one Lemma-2 loop then visits nodes in
+//! BFS-layer order, always computing layer 0 (the restart nodes), and
+//! the stop rule decides only when the bound ends the search and where
+//! each proximity goes. [`Searcher::top_k_from_root`], the Appendix D.1
+//! ablation, is the one search outside it: its order-agnostic bound
+//! shares nothing with Lemma 2.
 //!
 //! # Lazy frontier
 //!
@@ -22,10 +34,10 @@
 //! expanded; [`SearchStats::frontier_expanded`] counts the nodes whose
 //! out-edges were actually scanned, and [`SearchStats::reachable`]
 //! consequently reports the discovered-so-far count on early-terminated
-//! queries (exact reachability, as before, when the search runs to
-//! completion). Layer-at-a-time expansion reproduces the eager queue
-//! order exactly, so results and visit order are identical to the eager
-//! reference — only the traversal cost shrinks.
+//! queries (exact reachability when the search runs to completion).
+//! Layer-at-a-time expansion reproduces the eager queue order exactly, so
+//! results and visit order are identical to an eager traversal — only
+//! the traversal cost shrinks.
 //!
 //! # The proximity gather
 //!
@@ -35,45 +47,34 @@
 //! the index's blocked `U⁻¹` rows
 //! ([`BlockedCsr::row_dot_scattered_counting`], the one gather path).
 //! It visits the merge join's matching pairs in the same order, so every
-//! proximity is bit-identical to the merge join
-//! ([`KdashIndex::top_k_merge_join`] keeps the old eager path alive as
-//! the exactness cross-check). Candidate rows are software-prefetched a
-//! block ahead ([`PREFETCH_BLOCK`]), and every query's byte traffic lands
-//! in [`SearchStats`].
+//! proximity is bit-identical to a merge join (the eager merge-join
+//! oracle `kdash_harness::eager_merge_join` pins this). Candidate rows
+//! are software-prefetched a block ahead (`PREFETCH_BLOCK`), and every
+//! query's byte traffic lands in [`SearchStats`].
 //!
 //! # Certified refinement (sparsified tier)
 //!
-//! On an index built with a positive `drop_tolerance`, the stored
-//! inverses are *truncated* and a raw gather yields only an approximation
-//! `x̃ ≈ W⁻¹ b`. Every entry point detects this
-//! ([`KdashIndex::needs_refinement`]) and routes through the certified
-//! refinement loop instead of the Lemma-2 search: the whole reachable set
-//! is solved approximately, the residual `r = b − W x̃` is streamed from
-//! the permuted graph itself (which the index stores exactly), and the
-//! bound `|p_u − c·x̃_u| ≤ ‖r‖₁` turns the ranking into a proof
-//! obligation — once every consecutive gap among the answer candidates
-//! exceeds `2‖r‖₁`, the returned set *and order* are provably identical
-//! to the dense-exact answer. While gaps stay unproven, one correction
-//! `x̃ += Ũ⁻¹(L̃⁻¹ r)` contracts the residual geometrically (the
-//! sparsified inverses are their own preconditioner) and the check
-//! re-runs. Genuinely tied proximities can never separate, so the loop
-//! fails loudly with [`KdashError::RefinementFailed`] instead of
-//! guessing; returned proximity *values* are `c·x̃` — within the final
-//! `‖r‖₁` of exact, which certification keeps below half the smallest
-//! decisive gap. Ties among certified answers break by ascending
-//! *permuted* id, matching the classic heap's comparator.
-//!
-//! All five query entry points run through this workspace; the matching
-//! [`KdashIndex`] methods are thin conveniences that build a transient
-//! `Searcher` per call.
+//! On an index built with a positive `drop_tolerance` the stored inverses
+//! are truncated, so a raw gather is only approximate. [`Searcher::run`]
+//! detects this ([`KdashIndex::needs_refinement`]) and runs the certified
+//! refinement loop instead of the Lemma-2 search: it solves the whole
+//! reachable set approximately, streams the residual `r = b − W x̃` from
+//! the stored graph, and corrects `x̃ += Ũ⁻¹(L̃⁻¹ r)` until every decisive
+//! gap exceeds `2‖r‖₁` — the bound on `|p_u − c·x̃_u|` — so the answer's
+//! set and order are provably the dense-exact ones (see the crate docs,
+//! "The exactness contract under sparsified indexes"). Tied proximities
+//! never separate, so the loop fails loudly with
+//! [`KdashError::RefinementFailed`] instead of guessing. Returned values
+//! are `c·x̃`; ties among certified answers break by ascending *permuted*
+//! id, matching the heap's rank order.
 
 use crate::{
-    ArbitraryOrderBound, KdashError, KdashIndex, LayerEstimator, RankedNode, Result, SearchStats,
-    TopKResult,
+    ArbitraryOrderBound, KdashError, KdashIndex, LayerEstimator, Query, RankedNode, Restart,
+    Result, SearchStats, Stop, TopKResult,
 };
 use kdash_graph::{BfsScratch, NodeId};
 use kdash_sparse::{BlockedCsr, DanglingPolicy, ScatteredColumn};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// Candidate rows per prefetch block: when the visit cursor enters a new
@@ -189,13 +190,32 @@ impl QueryBudget {
     }
 }
 
-/// Fixed-capacity min-heap keeping the K largest `(proximity, node)` pairs.
+/// The one rank order of every answer list: descending proximity, ties
+/// by ascending node id. `total_cmp` makes it total without a panic site,
+/// and on the proximities the engine produces — finite, and never `-0.0`
+/// because every gather accumulates from `+0.0` — it is the order
+/// `partial_cmp` would give.
+#[inline]
+fn rank_desc(a: (f64, NodeId), b: (f64, NodeId)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// Fixed-capacity heap keeping the K best-ranked `(proximity, node)`
+/// pairs under [`rank_desc`], so the kept set is the K best by that order
+/// whatever order the pairs arrive in — ties at the K-th place included.
 /// θ (the K-th best proximity so far) is the root once the heap is full.
 /// Reusable: [`reset`](TopKHeap::reset) keeps the backing storage.
 #[derive(Debug, Clone)]
 pub(crate) struct TopKHeap {
     k: usize,
+    /// Root = the worst-ranked entry kept.
     entries: Vec<(f64, NodeId)>,
+}
+
+/// `a` ranks strictly below `b`.
+#[inline]
+fn ranks_below(a: (f64, NodeId), b: (f64, NodeId)) -> bool {
+    rank_desc(a, b) == Ordering::Greater
 }
 
 impl TopKHeap {
@@ -226,46 +246,44 @@ impl TopKHeap {
         if self.k == 0 {
             return;
         }
+        let entry = (proximity, node);
         if !self.is_full() {
-            self.entries.push((proximity, node));
+            self.entries.push(entry);
             let mut i = self.entries.len() - 1;
             while i > 0 {
                 let parent = (i - 1) / 2;
-                if self.entries[parent].0 <= self.entries[i].0 {
+                if ranks_below(self.entries[parent], self.entries[i]) {
                     break;
                 }
                 self.entries.swap(i, parent);
                 i = parent;
             }
-        } else if proximity > self.entries[0].0 {
-            self.entries[0] = (proximity, node);
+        } else if ranks_below(self.entries[0], entry) {
+            self.entries[0] = entry;
             let mut i = 0;
             loop {
                 let (l, r) = (2 * i + 1, 2 * i + 2);
-                let mut smallest = i;
-                if l < self.entries.len() && self.entries[l].0 < self.entries[smallest].0 {
-                    smallest = l;
+                let mut worst = i;
+                if l < self.entries.len() && ranks_below(self.entries[l], self.entries[worst]) {
+                    worst = l;
                 }
-                if r < self.entries.len() && self.entries[r].0 < self.entries[smallest].0 {
-                    smallest = r;
+                if r < self.entries.len() && ranks_below(self.entries[r], self.entries[worst]) {
+                    worst = r;
                 }
-                if smallest == i {
+                if worst == i {
                     break;
                 }
-                self.entries.swap(i, smallest);
-                i = smallest;
+                self.entries.swap(i, worst);
+                i = worst;
             }
         }
     }
 
-    /// Sorts the entries into descending proximity order (ties by
-    /// ascending node id) in place and returns them. The comparator is a
-    /// total order over distinct nodes, so the unstable sort is
-    /// deterministic — and allocation-free, unlike the stable one.
+    /// Sorts the entries into [`rank_desc`] order in place and returns
+    /// them. The order is total over distinct nodes, so the unstable sort
+    /// is deterministic — and allocation-free, unlike the stable one.
     pub(crate) fn sorted_entries(&mut self) -> &[(f64, NodeId)] {
-        self.entries.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0).expect("finite proximities").then(a.1.cmp(&b.1))
-        });
+        self.entries.sort_unstable_by(|&a, &b| rank_desc(a, b));
         &self.entries
     }
 }
@@ -317,9 +335,9 @@ enum RefineGoal<'o> {
     /// Certify the top-k set and order; the winners land in the
     /// workspace heap (ties by ascending permuted id).
     TopK(usize),
-    /// Certify every reachable node's side of `theta` and the order of
-    /// the hits; the hits land in the workspace hit list (sorted).
-    Threshold(f64),
+    /// Certify every reachable node's side of the threshold and the order
+    /// of the hits; the hits (permuted ids) land in the list, sorted.
+    Threshold(f64, &'o mut Vec<RankedNode>),
     /// Iterate the residual down to [`FULL_VECTOR_FLOOR`]; `c·x̃` lands
     /// in the provided dense permuted vector.
     FullVector(&'o mut [f64]),
@@ -371,15 +389,15 @@ fn certify_top_k(
 /// Threshold certification: every reachable node must sit provably on
 /// one side of `theta` (margin `> δ`) and the hits must be provably
 /// ordered among themselves (gaps `> 2δ`). Fills `hits` with the
-/// candidate answers, sorted; on the accepting iteration they are the
-/// final ones.
+/// candidate answers (permuted ids), sorted; on the accepting iteration
+/// they are the final ones.
 fn certify_threshold(
     x: &[f64],
     order: &[NodeId],
     c: f64,
     theta: f64,
     delta: f64,
-    hits: &mut Vec<(f64, NodeId)>,
+    hits: &mut Vec<RankedNode>,
 ) -> (bool, f64) {
     hits.clear();
     let mut min_margin = f64::INFINITY;
@@ -387,13 +405,13 @@ fn certify_threshold(
         let p = c * x[u as usize];
         min_margin = min_margin.min((p - theta).abs());
         if p >= theta {
-            hits.push((p, u));
+            hits.push(RankedNode { node: u, proximity: p });
         }
     }
-    hits.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
+    hits.sort_unstable_by(|a, b| rank_desc((a.proximity, a.node), (b.proximity, b.node)));
     let mut min_gap = 2.0 * min_margin;
     for pair in hits.windows(2) {
-        min_gap = min_gap.min(pair[0].0 - pair[1].0);
+        min_gap = min_gap.min(pair[0].proximity - pair[1].proximity);
     }
     if !min_gap.is_finite() {
         min_gap = 0.0;
@@ -404,13 +422,14 @@ fn certify_threshold(
 /// A reusable query workspace over one [`KdashIndex`].
 ///
 /// Construction is `O(n)`; each query after the first allocates nothing
-/// (for [`top_k_into`](Searcher::top_k_into)) or only its result vector.
+/// (for single-node [`run`](Searcher::run) and
+/// [`top_k_into`](Searcher::top_k_into)) or only its result vector.
 /// A `Searcher` is single-threaded by design — for parallel serving, give
 /// each worker its own (see [`crate::batch_top_k`], which does exactly
 /// that over a work-stealing queue).
 ///
 /// ```
-/// use kdash_core::{IndexOptions, KdashIndex, TopKResult};
+/// use kdash_core::{IndexOptions, KdashIndex, Query, Restart, Stop, TopKResult};
 /// use kdash_graph::GraphBuilder;
 ///
 /// let mut b = GraphBuilder::new(5);
@@ -423,6 +442,10 @@ fn certify_threshold(
 ///     searcher.top_k_into(q, 3, &mut result).unwrap();   // no allocations after warm-up
 ///     assert_eq!(result.items[0].node, q);
 /// }
+/// // Every other query kind is one `Query` away.
+/// let query = Query { restart: Restart::Set(&[0, 2]), stop: Stop::Above(0.01) };
+/// searcher.run(&query, &mut result).unwrap();
+/// assert!(result.items.iter().all(|r| r.proximity >= 0.01));
 /// ```
 #[derive(Debug)]
 pub struct Searcher<'a> {
@@ -433,9 +456,7 @@ pub struct Searcher<'a> {
     column: ScatteredColumn,
     /// Top-k candidates of the current query.
     heap: TopKHeap,
-    /// Threshold-query hit list scratch.
-    hits: Vec<(f64, NodeId)>,
-    /// Permuted restart-set scratch for multi-source queries.
+    /// The current query's restart nodes, permuted — layer 0 of the BFS.
     sources_p: Vec<NodeId>,
     /// Gather traffic counters, reset per query and folded into
     /// [`SearchStats`].
@@ -458,7 +479,6 @@ impl<'a> Searcher<'a> {
             bfs: BfsScratch::new(n),
             column: ScatteredColumn::new(n),
             heap: TopKHeap::new(0),
-            hits: Vec::new(),
             sources_p: Vec::new(),
             counters: GatherCounters::default(),
             prefetched_until: 0,
@@ -486,26 +506,39 @@ impl<'a> Searcher<'a> {
     /// The typed abort for a query that hit a budget ceiling: folds the
     /// traversal and gather progress made so far into the carried stats so
     /// the caller can see exactly how far the runaway got. The workspace
-    /// itself stays fully reusable — every entry point re-seeds its state.
+    /// itself stays fully reusable — every query re-seeds its state.
     #[cold]
     fn budget_abort(&self, limit: BudgetLimit, mut stats: SearchStats) -> KdashError {
         self.record_traversal(&mut stats);
         KdashError::BudgetExceeded { limit, stats: Box::new(stats) }
     }
 
-    /// Shared single-root query prologue: validates `q`, seeds the lazy
-    /// BFS at it (layer 0 only — deeper layers are discovered on demand by
-    /// the search loop) and scatters its `L⁻¹` column. Returns the
-    /// permuted query id.
-    fn prepare_query(&mut self, q: NodeId) -> Result<NodeId> {
-        self.index.check_node(q)?;
-        let qp = self.index.permutation().new_of(q);
-        self.bfs.begin(self.index.permuted_graph(), qp);
-        let (col_idx, col_val) = self.index.linv().col(qp);
-        self.column.load(col_idx, col_val);
-        self.counters.reset();
+    /// The shared query prologue: validates the restart, scatters its
+    /// `L⁻¹` column (borrowed for a node, merged for a set), seeds the
+    /// lazy BFS at the restart nodes (layer 0 only — deeper layers are
+    /// discovered on demand) and resets the gather counters.
+    fn prepare(&mut self, restart: Restart<'_>) -> Result<()> {
+        let index = self.index;
+        let perm = index.permutation();
+        self.sources_p.clear();
+        match restart {
+            Restart::Node(q) => {
+                index.check_node(q)?;
+                let qp = perm.new_of(q);
+                let (col_idx, col_val) = index.linv().col(qp);
+                self.column.load(col_idx, col_val);
+                self.sources_p.push(qp);
+            }
+            Restart::Set(sources) => {
+                let (col_idx, col_val) = index.merged_query_column(sources)?;
+                self.column.load(&col_idx, &col_val);
+                self.sources_p.extend(sources.iter().map(|&s| perm.new_of(s)));
+            }
+        }
+        self.bfs.begin_multi(index.permuted_graph(), &self.sources_p);
+        self.counters = GatherCounters::default();
         self.prefetched_until = 0;
-        Ok(qp)
+        Ok(())
     }
 
     /// One candidate proximity gather (without the `c` factor): row `u`
@@ -545,18 +578,12 @@ impl<'a> Searcher<'a> {
         Some(self.bfs.order()[pos])
     }
 
-    /// Folds the traversal counters of the finished (or abandoned) lazy
-    /// run into `stats`.
+    /// Folds the traversal and gather counters of the finished (or
+    /// abandoned) run into `stats`.
     #[inline]
     fn record_traversal(&self, stats: &mut SearchStats) {
         stats.reachable = self.bfs.num_discovered();
         stats.frontier_expanded = self.bfs.num_expanded();
-        self.record_gather(stats);
-    }
-
-    /// Folds the gather counters into `stats`.
-    #[inline]
-    fn record_gather(&self, stats: &mut SearchStats) {
         stats.bytes_touched = self.counters.index_bytes;
         stats.value_bytes_touched = self.counters.value_bytes;
         stats.rows_scalar = self.counters.rows;
@@ -564,420 +591,196 @@ impl<'a> Searcher<'a> {
         stats.nnz_gathered = self.counters.nnz;
     }
 
-    /// Exact top-k search (Algorithm 4). Returns `min(k, n)` nodes in
-    /// descending proximity order; when fewer than `k` nodes are reachable
-    /// the remainder is padded with unreachable nodes at proximity 0.
+    /// Exact top-k search from one node: [`run`](Self::run) with
+    /// [`Restart::Node`] and [`Stop::TopK`], into a fresh result.
     pub fn top_k(&mut self, q: NodeId, k: usize) -> Result<TopKResult> {
         let mut out = TopKResult::default();
-        self.top_k_into(q, k, &mut out)?;
-        Ok(out)
+        self.top_k_into(q, k, &mut out).map(|()| out)
     }
 
-    /// [`top_k`](Self::top_k) writing into a caller-owned result, so a
-    /// serving loop can reuse the result's allocation too. This is the
-    /// zero-allocation hot path: once the workspace buffers have reached
-    /// their high-water mark, repeated calls allocate nothing. (The BFS
-    /// order and heap grow to the largest reachable set and `k` seen so
-    /// far — a later query reaching strictly more nodes than any before
-    /// it still grows them once.)
+    /// [`top_k`](Self::top_k) writing into a caller-owned result — the
+    /// zero-allocation serving path.
     pub fn top_k_into(&mut self, q: NodeId, k: usize, out: &mut TopKResult) -> Result<()> {
-        self.top_k_into_impl(q, k, out, false)
+        self.run(&Query { restart: Restart::Node(q), stop: Stop::TopK(k) }, out)
     }
 
-    /// The eager-traversal replay of [`top_k_into`](Self::top_k_into): the
-    /// whole BFS tree is drained *before* the same search loop runs,
-    /// exactly what the engine did before the lazy frontier landed.
-    /// Hidden — benchmark baseline (the `query_engine` bench measures the
-    /// lazy path's traversal saving against it) and equivalence oracle
-    /// only.
-    #[doc(hidden)]
-    pub fn top_k_eager_into(&mut self, q: NodeId, k: usize, out: &mut TopKResult) -> Result<()> {
-        self.top_k_into_impl(q, k, out, true)
-    }
-
-    /// One search loop for both traversal modes, so the eager baseline can
-    /// never drift from the production algorithm: `eager` only decides
-    /// whether the frontier is drained up front or pulled by `next_visit`.
-    fn top_k_into_impl(
-        &mut self,
-        q: NodeId,
-        k: usize,
-        out: &mut TopKResult,
-        eager: bool,
-    ) -> Result<()> {
-        let index = self.index;
-        if k == 0 {
+    /// Answers `query` into `out`, reusing `out`'s allocation.
+    ///
+    /// Validation comes first: an out-of-bounds node or an empty,
+    /// duplicate-containing or out-of-bounds restart set, and a
+    /// non-positive or non-finite [`Stop::Above`] threshold, return typed
+    /// errors with `out` untouched. A budget abort or refinement failure
+    /// leaves `out` empty.
+    ///
+    /// After warm-up (buffers at their high-water mark), a
+    /// [`Restart::Node`] query allocates nothing. A [`Restart::Set`]
+    /// query allocates its merged `L⁻¹` column.
+    pub fn run(&mut self, query: &Query<'_>, out: &mut TopKResult) -> Result<()> {
+        self.prepare(query.restart)?;
+        if let Stop::Above(theta) = query.stop {
+            if !(theta > 0.0 && theta.is_finite()) {
+                return Err(KdashError::InvalidThreshold { theta });
+            }
+        }
+        out.items.clear();
+        out.stats = SearchStats::default();
+        if let Stop::TopK(0) | Stop::Unpruned(0) = query.stop {
             // The answer is known empty; skip the traversal entirely.
-            index.check_node(q)?;
-            out.items.clear();
-            out.stats = SearchStats::default();
             return Ok(());
         }
-        let qp = self.prepare_query(q)?;
-        if index.needs_refinement() {
+        if self.index.needs_refinement() {
             // Sparsified tier: gathered values are approximate, so the
-            // Lemma-2 path is unsound — certify instead (both traversal
-            // modes drain the frontier there anyway).
-            return self.refined_top_k(&[(qp, 1.0)], k, out);
+            // Lemma-2 path is unsound — certify instead.
+            return self.refined_answer(query.stop, out);
         }
-        if eager {
-            while self.bfs.expand_next_layer(index.permuted_graph()) > 0 {}
-        }
+        self.search(query.stop, out)
+    }
+
+    /// The Lemma-2 search (Algorithm 4) behind every dense-tier query:
+    /// visit nodes in BFS-layer order, compute each exact proximity, and
+    /// stop at the first node whose bound the stop rule rejects. Layer 0
+    /// (the restart nodes, which carry the restart term) is always
+    /// computed; from layer 1 on, Lemmas 1–2 hold unchanged (every
+    /// non-restart node satisfies `p_u = c'_u Σ_v A_uv p_v`). For a single
+    /// root this is the paper's search exactly: the estimator treats the
+    /// root as an ordinary layer-0 selection.
+    ///
+    /// `stop` decides two things only: the termination test (heap full
+    /// and bound `< θ_k`, bound `< θ`, or never) and where each proximity
+    /// goes (the heap, or the hit list in `out.items`).
+    fn search(&mut self, stop: Stop, out: &mut TopKResult) -> Result<()> {
+        let index = self.index;
         let c = index.restart_probability();
         let started = self.budget.start();
-
-        self.heap.reset(k);
+        if let Stop::TopK(k) | Stop::Unpruned(k) = stop {
+            self.heap.reset(k);
+        }
         let mut estimator = LayerEstimator::new(index.a_max());
         let mut stats = SearchStats::default();
 
         // The frontier is pulled lazily: `next_visit` discovers one more
         // layer exactly when the cursor has consumed everything known, so
         // breaking out of this loop leaves every deeper layer unexpanded.
-        // (An eager run arrives pre-drained and `next_visit` just walks
-        // the complete order.)
         let mut pos = 0;
         while let Some(u) = self.next_visit(pos) {
             if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            self.prefetch_block(pos);
-            stats.visited += 1;
-            let layer = self.bfs.layer(u);
-            if pos == 0 {
-                // The root is the query: p̄_q = 1 by definition, never pruned.
-                let p = c * self.gather(u);
-                stats.proximity_computations += 1;
-                estimator.record_root(p, index.a_col_max()[u as usize]);
-                self.heap.offer(p, u);
-                pos += 1;
-                continue;
-            }
-            let terms = estimator.advance(layer);
-            // Termination must cover every unvisited node, whose c' may
-            // exceed this node's when self-loops are present — use max c'.
-            if self.heap.is_full() && index.c_prime_max() * terms < self.heap.threshold() {
-                // Lemma 2: every unvisited node is bounded by this too —
-                // discovered or not, so the undiscovered layers need never
-                // be enumerated.
-                stats.terminated_early = true;
-                break;
-            }
-            let p = c * self.gather(u);
-            stats.proximity_computations += 1;
-            estimator.record_selected(layer, p, index.a_col_max()[u as usize]);
-            self.heap.offer(p, u);
-            pos += 1;
-        }
-        self.record_traversal(&mut stats);
-
-        self.finish(k, true, stats, out);
-        Ok(())
-    }
-
-    /// Algorithm 4 with the termination test removed: computes the exact
-    /// proximity of every reachable node (the traversal always runs to
-    /// exhaustion, so its `reachable` is the full reachable count). This
-    /// is the "Without pruning" series of Figure 7.
-    pub fn top_k_unpruned(&mut self, q: NodeId, k: usize) -> Result<TopKResult> {
-        let index = self.index;
-        if k == 0 {
-            index.check_node(q)?;
-            return Ok(TopKResult::default());
-        }
-        let qp = self.prepare_query(q)?;
-        if index.needs_refinement() {
-            let mut out = TopKResult::default();
-            self.refined_top_k(&[(qp, 1.0)], k, &mut out)?;
-            return Ok(out);
-        }
-        let c = index.restart_probability();
-        let started = self.budget.start();
-
-        self.heap.reset(k);
-        let mut stats = SearchStats::default();
-        let mut pos = 0;
-        while let Some(u) = self.next_visit(pos) {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            self.prefetch_block(pos);
-            stats.visited += 1;
-            let p = c * self.gather(u);
-            stats.proximity_computations += 1;
-            self.heap.offer(p, u);
-            pos += 1;
-        }
-        self.record_traversal(&mut stats);
-        let mut out = TopKResult::default();
-        self.finish(k, true, stats, &mut out);
-        Ok(out)
-    }
-
-    /// Exact *threshold* query: every node whose proximity is at least
-    /// `theta`, in descending order. Extension beyond the paper, enabled
-    /// by the same machinery: visit in BFS-layer order and stop as soon as
-    /// the Lemma 2 bound falls below `theta` — every unvisited node is
-    /// then provably below the threshold.
-    ///
-    /// `theta` must be positive and finite; anything else returns
-    /// [`KdashError::InvalidThreshold`] (a proximity is a probability mass
-    /// in `(0, 1]`, so a non-positive threshold would select every node
-    /// and a NaN one nothing meaningful).
-    pub fn nodes_above(&mut self, q: NodeId, theta: f64) -> Result<TopKResult> {
-        let index = self.index;
-        index.check_node(q)?;
-        if !(theta > 0.0 && theta.is_finite()) {
-            return Err(KdashError::InvalidThreshold { theta });
-        }
-        let qp = self.prepare_query(q)?;
-        if index.needs_refinement() {
-            let mut stats = SearchStats::default();
-            self.refined_run(&[(qp, 1.0)], RefineGoal::Threshold(theta), &mut stats)?;
-            self.record_traversal(&mut stats);
-            // The accepting certification pass left `hits` sorted; the
-            // shared epilogue below maps them to original ids.
-            let items = self
-                .hits
-                .iter()
-                .map(|&(p, u)| RankedNode { node: index.permutation().old_of(u), proximity: p })
-                .collect();
-            return Ok(TopKResult { items, stats });
-        }
-        let c = index.restart_probability();
-        let started = self.budget.start();
-
-        self.hits.clear();
-        let mut estimator = LayerEstimator::new(index.a_max());
-        let mut stats = SearchStats::default();
-        let mut pos = 0;
-        while let Some(u) = self.next_visit(pos) {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
+                out.items.clear();
                 return Err(self.budget_abort(limit, stats));
             }
             self.prefetch_block(pos);
             stats.visited += 1;
             let layer = self.bfs.layer(u);
             if pos > 0 {
+                // Termination must cover every unvisited node, whose c'
+                // may exceed this node's when self-loops are present — so
+                // the bound uses max c'. By Lemma 2 it bounds every
+                // unvisited node, discovered or not, so the undiscovered
+                // layers need never be enumerated.
                 let bound = index.c_prime_max() * estimator.advance(layer);
-                if bound < theta {
+                let done = layer > 0
+                    && match stop {
+                        Stop::TopK(_) => self.heap.is_full() && bound < self.heap.threshold(),
+                        Stop::Above(theta) => bound < theta,
+                        Stop::Unpruned(_) => false,
+                    };
+                if done {
                     stats.terminated_early = true;
                     break;
                 }
             }
             let p = c * self.gather(u);
             stats.proximity_computations += 1;
-            if pos == 0 {
-                estimator.record_root(p, index.a_col_max()[u as usize]);
-            } else {
-                estimator.record_selected(layer, p, index.a_col_max()[u as usize]);
-            }
-            if p >= theta {
-                self.hits.push((p, u));
-            }
-            pos += 1;
-        }
-        self.record_traversal(&mut stats);
-        self.hits.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1))
-        });
-        let items = self
-            .hits
-            .iter()
-            .map(|&(p, u)| RankedNode { node: index.permutation().old_of(u), proximity: p })
-            .collect();
-        Ok(TopKResult { items, stats })
-    }
-
-    /// Exact top-k for a *restart set*: the walk restarts uniformly over
-    /// `sources` (Personalized PageRank in the sense of the paper's
-    /// footnote 6). All sources form layer 0 of the search tree and are
-    /// computed exactly; pruning starts at layer 1, where Lemma 1/2 hold
-    /// unchanged (every non-source node still satisfies
-    /// `p_u = c'_u Σ_v A_uv p_v`).
-    pub fn top_k_from_set(&mut self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
-        let index = self.index;
-        // Validation (empty/duplicate/out-of-bounds sources) must still run
-        // for k = 0, so the short-circuit sits behind the column merge.
-        let (col_idx, col_val) = index.merged_query_column(sources)?;
-        if k == 0 {
-            return Ok(TopKResult::default());
-        }
-        self.column.load(&col_idx, &col_val);
-        self.counters.reset();
-        self.prefetched_until = 0;
-        self.sources_p.clear();
-        self.sources_p.extend(sources.iter().map(|&s| index.permutation().new_of(s)));
-        let roots = std::mem::take(&mut self.sources_p);
-        self.bfs.begin_multi(index.permuted_graph(), &roots);
-        self.sources_p = roots;
-        if index.needs_refinement() {
-            // The restart vector is uniform over the sources.
-            let weight = 1.0 / self.sources_p.len() as f64;
-            let rhs: Vec<(NodeId, f64)> =
-                self.sources_p.iter().map(|&s| (s, weight)).collect();
-            let mut out = TopKResult::default();
-            self.refined_top_k(&rhs, k, &mut out)?;
-            return Ok(out);
-        }
-        let c = index.restart_probability();
-        let started = self.budget.start();
-
-        self.heap.reset(k);
-        let mut estimator = LayerEstimator::new(index.a_max());
-        let mut stats = SearchStats::default();
-
-        let mut pos = 0;
-        while let Some(u) = self.next_visit(pos) {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            self.prefetch_block(pos);
-            stats.visited += 1;
-            let layer = self.bfs.layer(u);
-            if layer == 0 {
-                // Sources carry the restart term; their proximities are
-                // computed unconditionally and feed the estimator chain.
-                let p = c * self.gather(u);
-                stats.proximity_computations += 1;
-                if pos > 0 {
-                    let _ = estimator.advance(0);
-                }
-                estimator.record_selected(0, p, index.a_col_max()[u as usize]);
-                self.heap.offer(p, u);
-                pos += 1;
-                continue;
-            }
-            let terms = estimator.advance(layer);
-            if self.heap.is_full() && index.c_prime_max() * terms < self.heap.threshold() {
-                stats.terminated_early = true;
-                break;
-            }
-            let p = c * self.gather(u);
-            stats.proximity_computations += 1;
             estimator.record_selected(layer, p, index.a_col_max()[u as usize]);
-            self.heap.offer(p, u);
+            match stop {
+                Stop::Above(theta) => {
+                    if p >= theta {
+                        out.items.push(RankedNode { node: u, proximity: p });
+                    }
+                }
+                Stop::TopK(_) | Stop::Unpruned(_) => self.heap.offer(p, u),
+            }
             pos += 1;
         }
         self.record_traversal(&mut stats);
-        let mut out = TopKResult::default();
-        self.finish(k, true, stats, &mut out);
-        Ok(out)
+        match stop {
+            Stop::TopK(k) | Stop::Unpruned(k) => self.finish(k, true, stats, out),
+            Stop::Above(_) => {
+                // Rank the hits (permuted ids), then map to original ids.
+                out.items.sort_unstable_by(|a, b| {
+                    rank_desc((a.proximity, a.node), (b.proximity, b.node))
+                });
+                for item in &mut out.items {
+                    item.node = index.permutation().old_of(item.node);
+                }
+                out.stats = stats;
+            }
+        }
+        Ok(())
     }
 
-    /// The Appendix D.1 ablation: the search tree is rooted at a random
-    /// node instead of the query. The layer bound is no longer valid, so an
-    /// order-agnostic bound is used — exact answers, per-node skipping
-    /// only, and every node must still be visited.
-    pub fn top_k_random_root(&mut self, q: NodeId, k: usize, seed: u64) -> Result<TopKResult> {
-        let n = self.index.num_nodes();
-        self.index.check_node(q)?;
-        let root = StdRng::seed_from_u64(seed).gen_range(0..n) as NodeId;
-        self.top_k_from_root(q, k, root)
-    }
-
-    /// Random-root search with an explicit root (exposed for tests).
+    /// The Appendix D.1 ablation: top-k from `q` with the search tree
+    /// rooted at `root` instead of the query. The layer bound is no
+    /// longer valid, so an order-agnostic bound is used — exact answers,
+    /// per-node skipping only, and every node must still be visited. (The
+    /// paper draws `root` at random.)
     pub fn top_k_from_root(&mut self, q: NodeId, k: usize, root: NodeId) -> Result<TopKResult> {
         let index = self.index;
-        index.check_node(q)?;
+        self.prepare(Restart::Node(q))?;
         index.check_node(root)?;
+        let mut out = TopKResult::default();
         if k == 0 {
-            return Ok(TopKResult::default());
+            return Ok(out);
         }
         if index.needs_refinement() {
             // The ablation's visit order is irrelevant to a refined
             // answer — every reachable node is solved and certified
             // regardless — so the random root routes through the standard
             // refined query and stays exact on sparsified tiers.
-            let qp = self.prepare_query(q)?;
-            let mut out = TopKResult::default();
-            self.refined_top_k(&[(qp, 1.0)], k, &mut out)?;
+            self.refined_answer(Stop::TopK(k), &mut out)?;
             return Ok(out);
         }
-        let qp = index.permutation().new_of(q);
-        let rootp = index.permutation().new_of(root);
         // The order-agnostic bound can never terminate the search, so every
         // node must be visited regardless — the lazy frontier has nothing
         // to save here and the tree is drained eagerly up front. Its
         // counters are exact: `reachable` is the full root-reachable set
         // and `frontier_expanded` equals it.
-        self.bfs.run(index.permuted_graph(), rootp);
-        let (col_idx, col_val) = index.linv().col(qp);
-        self.column.load(col_idx, col_val);
-        self.counters.reset();
+        self.bfs.run(index.permuted_graph(), index.permutation().new_of(root));
+        let qp = self.sources_p[0];
         let c = index.restart_probability();
         let started = self.budget.start();
-
         self.heap.reset(k);
-        let mut bound_state = ArbitraryOrderBound::new(index.a_max());
+        let mut bound = ArbitraryOrderBound::new(index.a_max());
         let mut stats = SearchStats::default();
-        self.record_traversal(&mut stats);
 
         // Visit order: BFS from the root, then every node the root cannot
         // reach (they may still be answers — the walk starts at q, not at
-        // the root). The tree is complete up front, so candidate batching
-        // prefetches straight off the final order.
-        let uinv = index.uinv();
-        let order = self.bfs.order();
-        for (i, &u) in order.iter().enumerate() {
+        // the root).
+        let unreached = (0..index.num_nodes() as NodeId).filter(|&v| !self.bfs.is_reached(v));
+        for u in self.bfs.order().iter().copied().chain(unreached) {
             if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
                 return Err(self.budget_abort(limit, stats));
             }
-            if i % PREFETCH_BLOCK == 0 {
-                for &v in &order[i..(i + PREFETCH_BLOCK).min(order.len())] {
-                    uinv.prefetch_row(v);
-                }
+            stats.visited += 1;
+            // The order-agnostic bound only holds for non-query nodes.
+            if u != qp
+                && self.heap.is_full()
+                && index.c_prime()[u as usize] * bound.bound_term() < self.heap.threshold()
+            {
+                stats.skipped += 1;
+                continue;
             }
-            visit_any_order(
-                index,
-                &self.column,
-                &mut self.counters,
-                &mut self.heap,
-                &mut bound_state,
-                &mut stats,
-                qp,
-                c,
-                u,
-            );
+            let p = c * self.counters.gather(index.uinv(), u, &self.column);
+            stats.proximity_computations += 1;
+            bound.record(p, index.a_col_max()[u as usize]);
+            self.heap.offer(p, u);
         }
-        let n = index.num_nodes() as NodeId;
-        for v in 0..n {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            // Same candidate batching for the unreached tail (which can be
-            // most of the graph when the root's component is small):
-            // prefetch the block's unreached rows before gathering them.
-            if v % PREFETCH_BLOCK as NodeId == 0 {
-                for w in v..(v + PREFETCH_BLOCK as NodeId).min(n) {
-                    if !self.bfs.is_reached(w) {
-                        uinv.prefetch_row(w);
-                    }
-                }
-            }
-            if !self.bfs.is_reached(v) {
-                visit_any_order(
-                    index,
-                    &self.column,
-                    &mut self.counters,
-                    &mut self.heap,
-                    &mut bound_state,
-                    &mut stats,
-                    qp,
-                    c,
-                    v,
-                );
-            }
-        }
-        // The traversal counters were exact before the visits; the gather
-        // counters only exist now that the visits ran.
-        self.record_gather(&mut stats);
+        self.record_traversal(&mut stats);
         // Every node was visited (or skipped soundly); no padding needed.
-        let mut out = TopKResult::default();
         self.finish(k, false, stats, &mut out);
         Ok(out)
     }
 
-    /// Shared epilogue: drains the heap in rank order, maps back to
+    /// Shared top-k epilogue: drains the heap in rank order, maps back to
     /// original ids, and (when `pad_unreached` is set) pads with
     /// unreachable, zero-proximity nodes when fewer than `k` candidates
     /// exist. Heap entries are always reached nodes, so pads can never
@@ -1009,19 +812,34 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Refined top-k epilogue shared by every sparsified-tier ranking
-    /// entry point: run the certified loop, fold the traversal counters,
-    /// rank + pad. Expects the BFS seeded and the query column loaded.
-    fn refined_top_k(
-        &mut self,
-        rhs: &[(NodeId, f64)],
-        k: usize,
-        out: &mut TopKResult,
-    ) -> Result<()> {
+    /// The sparsified-tier answer to `stop`: the certified refinement
+    /// loop in place of the Lemma-2 search (which cannot prune against
+    /// approximate proximities, so [`Stop::Unpruned`] certifies the same
+    /// top-k). Expects the prologue ([`prepare`](Self::prepare)) to have
+    /// run.
+    fn refined_answer(&mut self, stop: Stop, out: &mut TopKResult) -> Result<()> {
         let mut stats = SearchStats::default();
-        self.refined_run(rhs, RefineGoal::TopK(k), &mut stats)?;
-        self.record_traversal(&mut stats);
-        self.finish(k, true, stats, out);
+        match stop {
+            Stop::TopK(k) | Stop::Unpruned(k) => {
+                self.refined_run(RefineGoal::TopK(k), &mut stats)?;
+                self.record_traversal(&mut stats);
+                self.finish(k, true, stats, out);
+            }
+            Stop::Above(theta) => {
+                let certified =
+                    self.refined_run(RefineGoal::Threshold(theta, &mut out.items), &mut stats);
+                if let Err(e) = certified {
+                    out.items.clear();
+                    return Err(e);
+                }
+                self.record_traversal(&mut stats);
+                // The accepting certification pass left the hits sorted.
+                for item in &mut out.items {
+                    item.node = self.index.permutation().old_of(item.node);
+                }
+                out.stats = stats;
+            }
+        }
         Ok(())
     }
 
@@ -1032,38 +850,21 @@ impl<'a> Searcher<'a> {
     /// singleton slice reproduces the single-query vector. This is the
     /// sparsified-tier backend of [`KdashIndex::full_proximities`] and
     /// friends.
-    #[doc(hidden)]
-    pub fn refined_full_proximities(&mut self, sources: &[NodeId]) -> Result<Vec<f64>> {
-        let index = self.index;
-        let (col_idx, col_val) = index.merged_query_column(sources)?;
-        self.column.load(&col_idx, &col_val);
-        self.counters.reset();
-        self.prefetched_until = 0;
-        self.sources_p.clear();
-        self.sources_p.extend(sources.iter().map(|&s| index.permutation().new_of(s)));
-        let roots = std::mem::take(&mut self.sources_p);
-        self.bfs.begin_multi(index.permuted_graph(), &roots);
-        let weight = 1.0 / roots.len() as f64;
-        let rhs: Vec<(NodeId, f64)> = roots.iter().map(|&s| (s, weight)).collect();
-        self.sources_p = roots;
-        let mut permuted = vec![0.0; index.num_nodes()];
+    pub(crate) fn refined_full_proximities(&mut self, sources: &[NodeId]) -> Result<Vec<f64>> {
+        self.prepare(Restart::Set(sources))?;
+        let mut permuted = vec![0.0; self.index.num_nodes()];
         let mut stats = SearchStats::default();
-        self.refined_run(&rhs, RefineGoal::FullVector(&mut permuted), &mut stats)?;
-        Ok(index.permutation().unpermute_values(&permuted))
+        self.refined_run(RefineGoal::FullVector(&mut permuted), &mut stats)?;
+        Ok(self.index.permutation().unpermute_values(&permuted))
     }
 
     /// The certified refinement driver (see the module docs): drains the
     /// reachable set, solves it approximately through the sparsified
     /// inverses, and iterates residual/correction passes until `goal` is
-    /// proven. Expects the BFS seeded at the support of `rhs` (the
-    /// restart vector `b = Σ weight·e_root`, permuted ids) and the
-    /// matching `L̃⁻¹` query column loaded.
-    fn refined_run(
-        &mut self,
-        rhs: &[(NodeId, f64)],
-        mut goal: RefineGoal<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<()> {
+    /// proven. Expects the prologue ([`prepare`](Self::prepare)) to have
+    /// run: the BFS seeded at the restart nodes and their `L̃⁻¹` column
+    /// loaded. The restart vector is `b = Σ_s e_s / |S|` over them.
+    fn refined_run(&mut self, mut goal: RefineGoal<'_>, stats: &mut SearchStats) -> Result<()> {
         // The Lemma-2 bound cannot prune against approximate proximities,
         // so the refined path always drains the whole reachable set —
         // supp(x̃), supp(r) and the correction all stay inside it.
@@ -1072,7 +873,7 @@ impl<'a> Searcher<'a> {
             .refine
             .take()
             .unwrap_or_else(|| Box::new(RefineState::new(self.index.num_nodes())));
-        let result = self.refined_run_inner(&mut st, rhs, &mut goal, stats);
+        let result = self.refined_run_inner(&mut st, &mut goal, stats);
         // Zero x̃ over the visited set before parking the state, so an
         // error leaves the workspace exactly as reusable as success does.
         for &u in &self.bfs.order()[..self.bfs.num_discovered()] {
@@ -1085,7 +886,6 @@ impl<'a> Searcher<'a> {
     fn refined_run_inner(
         &mut self,
         st: &mut RefineState,
-        rhs: &[(NodeId, f64)],
         goal: &mut RefineGoal<'_>,
         stats: &mut SearchStats,
     ) -> Result<()> {
@@ -1096,6 +896,7 @@ impl<'a> Searcher<'a> {
         let dangling = index.dangling_policy();
         let started = self.budget.start();
         let reach = self.bfs.num_discovered();
+        let restart_weight = 1.0 / self.sources_p.len() as f64;
 
         // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
         // reachable node, exactly the classic search's per-candidate cost.
@@ -1145,9 +946,9 @@ impl<'a> Searcher<'a> {
                     st.resid[j as usize] += one_minus_c * xj;
                 }
             }
-            for &(root, weight) in rhs {
+            for &root in &self.sources_p {
                 touch(&mut st.resid_supp, &mut st.in_resid, root);
-                st.resid[root as usize] += weight;
+                st.resid[root as usize] += restart_weight;
             }
             stats.refinement_nnz += edge_terms;
             let delta: f64 =
@@ -1161,8 +962,8 @@ impl<'a> Searcher<'a> {
                 RefineGoal::TopK(k) => {
                     certify_top_k(&st.x, order, c, *k, delta, &mut st.cert)
                 }
-                RefineGoal::Threshold(theta) => {
-                    certify_threshold(&st.x, order, c, *theta, delta, &mut self.hits)
+                RefineGoal::Threshold(theta, hits) => {
+                    certify_threshold(&st.x, order, c, *theta, delta, hits)
                 }
                 RefineGoal::FullVector(_) => (delta <= FULL_VECTOR_FLOOR, delta),
             };
@@ -1242,9 +1043,9 @@ impl<'a> Searcher<'a> {
                     self.heap.offer(p, u);
                 }
             }
-            RefineGoal::Threshold(_) => {
+            RefineGoal::Threshold(..) => {
                 // The accepting certification pass left the final hits in
-                // the workspace hit list, already sorted.
+                // the goal's list, already sorted.
             }
             RefineGoal::FullVector(out) => {
                 for pos in 0..reach {
@@ -1274,11 +1075,6 @@ struct GatherCounters {
 }
 
 impl GatherCounters {
-    /// Zeroes every counter (start of a query).
-    fn reset(&mut self) {
-        *self = GatherCounters::default();
-    }
-
     /// Row `r` of `uinv` against `column`, counted. Every proximity the
     /// searcher computes runs through here.
     #[inline]
@@ -1290,37 +1086,6 @@ impl GatherCounters {
         self.nnz += uinv.row_nnz(r);
         acc
     }
-}
-
-/// One candidate visit of the order-agnostic (random-root) search. A free
-/// function over the workspace's split-out fields so both visit loops can
-/// call it while the BFS order is borrowed.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn visit_any_order(
-    index: &KdashIndex,
-    column: &ScatteredColumn,
-    counters: &mut GatherCounters,
-    heap: &mut TopKHeap,
-    bound_state: &mut ArbitraryOrderBound,
-    stats: &mut SearchStats,
-    qp: NodeId,
-    c: f64,
-    u: NodeId,
-) {
-    stats.visited += 1;
-    // The order-agnostic bound only holds for non-query nodes.
-    if u != qp {
-        let bound = index.c_prime()[u as usize] * bound_state.bound_term();
-        if heap.is_full() && bound < heap.threshold() {
-            stats.skipped += 1;
-            return;
-        }
-    }
-    let p = c * counters.gather(index.uinv(), u, column);
-    stats.proximity_computations += 1;
-    bound_state.record(p, index.a_col_max()[u as usize]);
-    heap.offer(p, u);
 }
 
 #[cfg(test)]
@@ -1443,31 +1208,62 @@ mod tests {
         assert_eq!(first, again);
     }
 
+    /// `Searcher::run` on a fresh result.
+    fn run(s: &mut Searcher<'_>, restart: Restart<'_>, stop: Stop) -> Result<TopKResult> {
+        let mut out = TopKResult::default();
+        s.run(&Query { restart, stop }, &mut out).map(|()| out)
+    }
+
+    #[test]
+    fn heap_keeps_the_best_ranked_whatever_the_arrival_order() {
+        // Ties at the k-th place resolve by ascending node id, so the kept
+        // set never depends on the order candidates arrive in.
+        let offers = [(0.5, 4u32), (0.25, 9), (0.25, 3), (0.25, 7), (0.75, 1)];
+        for rotation in 0..offers.len() {
+            let mut h = TopKHeap::new(3);
+            for i in 0..offers.len() {
+                let (p, n) = offers[(i + rotation) % offers.len()];
+                h.offer(p, n);
+            }
+            let nodes: Vec<NodeId> = h.sorted_entries().iter().map(|&(_, n)| n).collect();
+            assert_eq!(nodes, vec![1, 4, 3], "rotation {rotation}");
+        }
+    }
+
     #[test]
     fn mixed_entry_points_share_one_workspace() {
         // Interleaving different query kinds must not leak state between
         // them: each call replays identically to a fresh workspace.
         let index = tiny_index();
         let mut s = index.searcher();
+        let queries = [
+            (Restart::Node(1), Stop::TopK(3)),
+            (Restart::Node(2), Stop::Above(1e-4)),
+            (Restart::Set(&[0, 4]), Stop::TopK(3)),
+            (Restart::Set(&[0, 4]), Stop::Above(1e-4)),
+            (Restart::Node(1), Stop::Unpruned(3)),
+            (Restart::Set(&[3, 5]), Stop::Unpruned(3)),
+        ];
         for round in 0..3 {
-            let a = s.top_k(1, 3).unwrap();
-            let b = s.nodes_above(2, 1e-4).unwrap();
-            let c = s.top_k_from_set(&[0, 4], 3).unwrap();
             let d = s.top_k_from_root(1, 3, 5).unwrap();
-            let e = s.top_k_unpruned(1, 3).unwrap();
-            let fresh_a = index.searcher().top_k(1, 3).unwrap();
-            let fresh_b = index.searcher().nodes_above(2, 1e-4).unwrap();
-            let fresh_c = index.searcher().top_k_from_set(&[0, 4], 3).unwrap();
             let fresh_d = index.searcher().top_k_from_root(1, 3, 5).unwrap();
-            for (got, want) in [(&a, &fresh_a), (&b, &fresh_b), (&c, &fresh_c), (&d, &fresh_d)] {
+            let mut pairs = vec![(d, fresh_d)];
+            for (restart, stop) in queries {
+                let got = run(&mut s, restart, stop).unwrap();
+                let want = run(&mut index.searcher(), restart, stop).unwrap();
+                assert_eq!(got.stats, want.stats, "round {round}: {restart:?} {stop:?}");
+                pairs.push((got, want));
+            }
+            for (got, want) in &pairs {
                 assert_eq!(got.items.len(), want.items.len(), "round {round}");
                 for (x, y) in got.items.iter().zip(&want.items) {
                     assert_eq!(x.node, y.node);
                     assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
                 }
             }
-            for (x, y) in a.items.iter().zip(&e.items) {
-                assert!((x.proximity - y.proximity).abs() < 1e-12);
+            // Pruned and unpruned top-k agree on the answer.
+            for (x, y) in pairs[1].0.items.iter().zip(&pairs[5].0.items) {
+                assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
             }
         }
     }
@@ -1477,13 +1273,13 @@ mod tests {
         let index = tiny_index();
         let mut s = index.searcher();
         for theta in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            match s.nodes_above(0, theta) {
+            match run(&mut s, Restart::Node(0), Stop::Above(theta)) {
                 Err(KdashError::InvalidThreshold { .. }) => {}
                 other => panic!("theta {theta}: expected InvalidThreshold, got {other:?}"),
             }
         }
         // The workspace stays usable after a rejected query.
-        assert!(s.nodes_above(0, 1e-3).is_ok());
+        assert!(run(&mut s, Restart::Node(0), Stop::Above(1e-3)).is_ok());
     }
 
     #[test]
@@ -1534,13 +1330,14 @@ mod tests {
             max_frontier_nodes: Some(1),
             ..QueryBudget::default()
         });
-        assert!(matches!(s.top_k(0, 6), Err(KdashError::BudgetExceeded { .. })));
-        assert!(matches!(s.top_k_unpruned(0, 6), Err(KdashError::BudgetExceeded { .. })));
-        assert!(matches!(s.nodes_above(0, 1e-6), Err(KdashError::BudgetExceeded { .. })));
-        assert!(matches!(
-            s.top_k_from_set(&[0, 3], 6),
-            Err(KdashError::BudgetExceeded { .. })
-        ));
+        for restart in [Restart::Node(0), Restart::Set(&[0, 3])] {
+            for stop in [Stop::TopK(6), Stop::Above(1e-6), Stop::Unpruned(6)] {
+                assert!(
+                    matches!(run(&mut s, restart, stop), Err(KdashError::BudgetExceeded { .. })),
+                    "{restart:?} {stop:?}"
+                );
+            }
+        }
         assert!(matches!(
             s.top_k_from_root(0, 6, 2),
             Err(KdashError::BudgetExceeded { .. })

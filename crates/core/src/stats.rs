@@ -76,11 +76,11 @@ pub struct SearchStats {
     /// the discovered-so-far count — a lower bound on true reachability —
     /// not the size of the full reachable set. When the search ran to
     /// completion the traversal is exhaustive and this is the exact
-    /// reachable count, as before. (The eager reference path
-    /// `KdashIndex::top_k_merge_join` always reports the full count;
-    /// consumers comparing the two — the experiment harness's
-    /// "computed/reachable" ratios, the CLI stats line — must take an
-    /// unpruned or merge-join run as the denominator.)
+    /// reachable count. (An unpruned run — [`Stop::Unpruned`](crate::Stop)
+    /// — always reports the full count, as does the eager merge-join
+    /// oracle `kdash_harness::eager_merge_join`; consumers wanting a
+    /// "computed/reachable" ratio must take one of those as the
+    /// denominator.)
     pub reachable: usize,
     /// Nodes whose out-edges the lazy BFS frontier actually scanned.
     ///
@@ -92,7 +92,7 @@ pub struct SearchStats {
     pub frontier_expanded: usize,
     /// Index bytes the proximity gathers streamed from the blocked `U⁻¹`
     /// (2/nnz + 8/run). Zero on paths that never run the gather (the
-    /// merge-join oracles).
+    /// merge-join oracle).
     pub bytes_touched: usize,
     /// Value bytes the gathers touched under a fixed accounting model
     /// (8 per stamp hit, the value loads the gather executes) —
@@ -124,9 +124,9 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// This record with every gather field cleared (byte counters, row
-    /// count). Search-work comparisons against the merge-join oracles pin
+    /// count). Search-work comparisons against the merge-join oracle pin
     /// everything else — visits, proximity computations, termination,
-    /// traversal — while the gather fields stay zero on the oracles.
+    /// traversal — while the gather fields stay zero on the oracle.
     pub fn without_gather(&self) -> SearchStats {
         SearchStats {
             bytes_touched: 0,

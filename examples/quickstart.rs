@@ -8,7 +8,7 @@
 //! ```
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::IndexBuilder;
+use kdash_core::{IndexBuilder, Query, Restart, Stop, TopKResult};
 use kdash_datagen::DatasetProfile;
 use kdash_dynamic::{DynamicIndex, Journal, UpdateBatch};
 use kdash_graph::EdgeEdit;
@@ -52,14 +52,20 @@ fn main() {
         index.stats().uinv_index_bytes as f64 / index.stats().nnz_u_inv.max(1) as f64
     );
 
-    // 3. Query: exact top-10 highest-proximity nodes for node 0. A serving
-    //    loop holds one `Searcher` (allocation-free after warm-up); each
-    //    candidate's proximity is one gather of its stored U⁻¹ row against
-    //    the scattered query column.
+    // 3. Query: exact top-10 highest-proximity nodes for node 0. Every
+    //    query is one `Query` — where the walk restarts (one node or a
+    //    restart set) and when it stops (top-k, a threshold θ, or top-k
+    //    without pruning) — run on a `Searcher`, which a serving loop
+    //    holds (allocation-free after warm-up). Each candidate's proximity
+    //    is one gather of its stored U⁻¹ row against the scattered query
+    //    column.
     let q = 0;
     let k = 10;
     let mut searcher = index.searcher();
-    let result = searcher.top_k(q, k).expect("query");
+    let mut result = TopKResult::default();
+    searcher
+        .run(&Query { restart: Restart::Node(q), stop: Stop::TopK(k) }, &mut result)
+        .expect("query");
     println!("\ntop-{k} nodes for query {q}:");
     for (rank, item) in result.items.iter().enumerate() {
         println!("  #{:<2} node {:<6} proximity {:.6e}", rank + 1, item.node, item.proximity);
@@ -92,6 +98,16 @@ fn main() {
         .all(|(got, want)| (got.proximity - want.1).abs() < 1e-9);
     println!("\nmatches iterative ground truth: {exact}");
     assert!(exact, "K-dash must be exact");
+
+    //    The same engine answers the other query kinds: here every node
+    //    at or above θ = 1e-3 for a walk restarting uniformly over
+    //    {q, the runner-up}.
+    let sources = [q, result.items[1].node];
+    let mut hits = TopKResult::default();
+    searcher
+        .run(&Query { restart: Restart::Set(&sources), stop: Stop::Above(1e-3) }, &mut hits)
+        .expect("restart-set threshold query");
+    println!("restart set {sources:?}: {} nodes at or above 1e-3", hits.items.len());
 
     // 5. The graph changes — serve it fresh without a rebuild. The
     //    dynamic engine applies a validated edit batch, refactorises the

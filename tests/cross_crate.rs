@@ -2,10 +2,12 @@
 //! the *system* (not just the algorithm) hold end-to-end on generated
 //! datasets.
 
-use kdash_core::{IndexOptions, KdashIndex, NodeOrdering};
+use kdash_core::{IndexOptions, KdashIndex, NodeOrdering, Query, Restart, Stop};
 use kdash_datagen::{dictionary, DatasetProfile};
 use kdash_eval::{precision_at_k, Table};
+use kdash_graph::NodeId;
 use kdash_harness::{exact_top_k, profile_graph, sample_queries};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[test]
 fn hybrid_ordering_beats_random_on_fill() {
@@ -41,7 +43,8 @@ fn pruning_reduces_work_on_modular_graphs() {
     let mut unpruned_total = 0usize;
     for q in sample_queries(&graph, 5) {
         pruned_total += index.top_k(q, 5).expect("q").stats.proximity_computations;
-        unpruned_total += index.top_k_unpruned(q, 5).expect("q").stats.proximity_computations;
+        let unpruned = Query { restart: Restart::Node(q), stop: Stop::Unpruned(5) };
+        unpruned_total += index.run(&unpruned).expect("q").stats.proximity_computations;
     }
     assert!(
         pruned_total * 2 < unpruned_total,
@@ -59,8 +62,9 @@ fn query_rooting_beats_random_rooting() {
     let mut random_rooted = 0usize;
     for (i, q) in sample_queries(&graph, 5).into_iter().enumerate() {
         query_rooted += index.top_k(q, 5).expect("q").stats.proximity_computations;
+        let root = StdRng::seed_from_u64(i as u64).gen_range(0..graph.num_nodes()) as NodeId;
         random_rooted +=
-            index.top_k_random_root(q, 5, i as u64).expect("q").stats.proximity_computations;
+            index.searcher().top_k_from_root(q, 5, root).expect("q").stats.proximity_computations;
     }
     assert!(
         query_rooted < random_rooted,

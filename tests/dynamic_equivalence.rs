@@ -18,7 +18,7 @@
 //!   did not fall back to a silent full rebuild.
 //! * The update epoch counts batches and survives persistence.
 
-use kdash_core::{IndexBuilder, IndexOptions, KdashIndex, NodeOrdering};
+use kdash_core::{IndexBuilder, IndexOptions, KdashIndex, NodeOrdering, Query, Restart, Stop};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_dynamic::{DynamicIndex, UpdateBatch};
 use kdash_graph::{CsrGraph, EdgeEdit, GraphBuilder, NodeId};
@@ -117,8 +117,9 @@ fn assert_queries_bit_identical(a: &KdashIndex, b: &KdashIndex, context: &str) {
         }
     }
     let sources = [0 as NodeId, (n as NodeId) / 2];
-    let ra = a.searcher().top_k_from_set(&sources, 5).unwrap();
-    let rb = b.searcher().top_k_from_set(&sources, 5).unwrap();
+    let query = Query { restart: Restart::Set(&sources), stop: Stop::TopK(5) };
+    let ra = a.run(&query).unwrap();
+    let rb = b.run(&query).unwrap();
     assert_eq!(ra.items, rb.items, "{context} restart-set");
     assert_eq!(ra.stats, rb.stats, "{context} restart-set");
 }

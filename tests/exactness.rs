@@ -2,10 +2,12 @@
 //! for every dataset shape, ordering, restart probability and K — verified
 //! against the iterative definition of Equation (1).
 
-use kdash_core::{IndexOptions, KdashIndex, NodeOrdering};
+use kdash_core::{IndexOptions, KdashIndex, NodeOrdering, Query, Restart, Stop};
 use kdash_datagen::DatasetProfile;
 use kdash_harness::{exact_top_k_scored, profile_graph, sample_queries};
+use kdash_graph::NodeId;
 use kdash_sparse::DanglingPolicy;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Compares the proximity sequences (ids may legitimately differ under
 /// exact ties).
@@ -85,7 +87,9 @@ fn pruned_and_unpruned_agree_everywhere() {
     let index = KdashIndex::build(&graph, IndexOptions::default()).expect("build");
     for q in sample_queries(&graph, 5) {
         let pruned = index.top_k(q, 10).expect("pruned");
-        let unpruned = index.top_k_unpruned(q, 10).expect("unpruned");
+        let unpruned = index
+            .run(&Query { restart: Restart::Node(q), stop: Stop::Unpruned(10) })
+            .expect("unpruned");
         for (a, b) in pruned.items.iter().zip(&unpruned.items) {
             assert!((a.proximity - b.proximity).abs() < 1e-12);
         }
@@ -100,7 +104,8 @@ fn random_root_variant_stays_exact() {
     let q = sample_queries(&graph, 1)[0];
     let reference = index.top_k(q, 5).expect("reference");
     for seed in 0..4u64 {
-        let rr = index.top_k_random_root(q, 5, seed).expect("random root");
+        let root = StdRng::seed_from_u64(seed).gen_range(0..graph.num_nodes()) as NodeId;
+        let rr = index.searcher().top_k_from_root(q, 5, root).expect("random root");
         for (a, b) in reference.items.iter().zip(&rr.items) {
             assert!(
                 (a.proximity - b.proximity).abs() < 1e-9,

@@ -11,7 +11,8 @@
 use kdash_core::batch::batch_top_k_outcomes_with_hook;
 use kdash_core::{
     batch_top_k_outcomes, save_atomic, save_atomic_with, BatchOptions, BudgetLimit, CrashPlan,
-    FaultInjector, IndexAudit, IndexOptions, KdashError, KdashIndex, QueryBudget,
+    FaultInjector, IndexAudit, IndexOptions, KdashError, KdashIndex, Query, QueryBudget, Restart,
+    Stop,
 };
 use kdash_dynamic::{DynamicIndex, Journal, UpdateBatch};
 use kdash_graph::{
@@ -117,8 +118,17 @@ fn index_rejects_invalid_queries_and_parameters() {
         index.top_k(4, 2),
         Err(KdashError::NodeOutOfBounds { node: 4, .. })
     ));
-    assert!(index.top_k_unpruned(9, 2).is_err());
-    assert!(index.top_k_from_root(0, 2, 17).is_err());
+    for (restart, stop) in [
+        (Restart::Node(9), Stop::Unpruned(2)),
+        (Restart::Node(9), Stop::Above(0.1)),
+        (Restart::Set(&[0, 9]), Stop::TopK(2)),
+    ] {
+        assert!(matches!(
+            index.run(&Query { restart, stop }),
+            Err(KdashError::NodeOutOfBounds { node: 9, .. })
+        ));
+    }
+    assert!(index.searcher().top_k_from_root(0, 2, 17).is_err());
     assert!(index.proximity(0, 99).is_err());
     assert!(index.full_proximities(44).is_err());
 }

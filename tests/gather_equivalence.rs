@@ -14,7 +14,7 @@
 //! * The blocked encoding cuts index bytes by at least a quarter against
 //!   flat CSR's 4 bytes/nnz.
 
-use kdash_core::{IndexOptions, KdashIndex, NodeOrdering};
+use kdash_core::{IndexOptions, KdashIndex, NodeOrdering, Query, Restart, Stop};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::{BfsScratch, NodeId};
 use kdash_harness::exact_top_k_scored;
@@ -88,7 +88,8 @@ proptest! {
             let qp = index.permutation().new_of(q);
             bfs.run(index.permuted_graph(), qp);
             let reached = bfs.order();
-            let stats = index.searcher().top_k_unpruned(q, n).unwrap().stats;
+            let unpruned = Query { restart: Restart::Node(q), stop: Stop::Unpruned(n) };
+            let stats = index.run(&unpruned).unwrap().stats;
             prop_assert_eq!(stats.rows_scalar, reached.len());
             prop_assert_eq!(stats.rows_wide, 0);
             prop_assert_eq!(stats.rows_scalar, stats.proximity_computations);

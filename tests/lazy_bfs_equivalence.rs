@@ -2,13 +2,15 @@
 //! must change *work*, never *answers*.
 //!
 //! Every property here compares the lazy production path against an
-//! **eager replay** — the original whole-tree-first implementation kept as
-//! the oracle (`top_k_merge_join` for single-source queries,
-//! `top_k_from_set_replay` for restart sets, and for the random-root
-//! variant the path itself drains the tree eagerly since its bound can
-//! never terminate). The two must be bit-identical in results and agree
-//! on every work counter; the traversal counters obey
-//! the lazy semantics:
+//! **eager** oracle — the original whole-tree-first implementation,
+//! `kdash_harness::eager_merge_join`, for single-node and restart-set
+//! queries alike (a single root is a one-element set), and for the
+//! random-root variant the path itself, which drains the tree eagerly
+//! since its bound can never terminate. Top-k answers must be
+//! bit-identical and agree on every work counter; every `Restart × Stop`
+//! pair is checked (`Unpruned` against the oracle, `Above` against the
+//! full proximity vector). The traversal counters obey the lazy
+//! semantics:
 //!
 //! * run-to-completion ⇒ identical stats, `frontier_expanded == reachable`
 //!   (the full reachable count, as before);
@@ -21,10 +23,10 @@
 //! (ER: flat degrees; BA: heavy-tailed hubs; RMAT: skewed + community
 //! structure), crossed with orderings and k.
 
-use kdash_core::{IndexOptions, KdashIndex, NodeOrdering, TopKResult};
+use kdash_core::{IndexOptions, KdashIndex, NodeOrdering, Query, Restart, Stop};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::{GraphBuilder, NodeId};
-use kdash_harness::check_lazy_vs_eager;
+use kdash_harness::{check_every_stop, check_lazy_vs_eager, eager_merge_join};
 use proptest::prelude::*;
 
 /// ER, BA and RMAT graphs small enough to build dozens of indexes per run.
@@ -68,8 +70,11 @@ proptest! {
         let mut searcher = index.searcher();
         for k in [k_sel, n + 2] {
             let lazy = searcher.top_k(q, k).unwrap();
-            let eager = index.top_k_merge_join(q, k).unwrap();
+            let eager = eager_merge_join(&index, &[q], k).unwrap();
             if let Err(msg) = check_lazy_vs_eager(&lazy, &eager) {
+                prop_assert!(false, "n={} q={} k={}: {}", n, q, k, msg);
+            }
+            if let Err(msg) = check_every_stop(&index, &[q], k, 1e-3) {
                 prop_assert!(false, "n={} q={} k={}: {}", n, q, k, msg);
             }
         }
@@ -88,9 +93,14 @@ proptest! {
             &graph,
             IndexOptions { ordering: ordering_for(which), ..Default::default() },
         ).unwrap();
-        let lazy = index.searcher().top_k_from_set(&sources, k_sel).unwrap();
-        let eager = index.top_k_from_set_replay(&sources, k_sel).unwrap();
+        let lazy = index
+            .run(&Query { restart: Restart::Set(&sources), stop: Stop::TopK(k_sel) })
+            .unwrap();
+        let eager = eager_merge_join(&index, &sources, k_sel).unwrap();
         if let Err(msg) = check_lazy_vs_eager(&lazy, &eager) {
+            prop_assert!(false, "n={} sources={:?} k={}: {}", n, sources, k_sel, msg);
+        }
+        if let Err(msg) = check_every_stop(&index, &sources, k_sel, 1e-3) {
             prop_assert!(false, "n={} sources={:?} k={}: {}", n, sources, k_sel, msg);
         }
     }
@@ -156,7 +166,7 @@ fn community_graph_early_termination_skips_frontier_work() {
     );
     // The eager reference sees the whole reachable set; the lazy search
     // must have discovered only a fraction of it.
-    let eager = index.top_k_merge_join(5, 5).unwrap();
+    let eager = eager_merge_join(&index, &[5], 5).unwrap();
     assert!(
         pruned.stats.reachable < eager.stats.reachable,
         "lazy discovery {} should stop well short of full reachability {}",
@@ -176,35 +186,12 @@ fn community_graph_early_termination_skips_frontier_work() {
     }
     // An unpruned run pays the whole frontier: the lazy loop must degrade
     // to exactly the eager cost, never above it.
-    let unpruned = searcher.top_k_unpruned(5, 5).unwrap();
+    let mut unpruned = kdash_core::TopKResult::default();
+    searcher
+        .run(&Query { restart: Restart::Node(5), stop: Stop::Unpruned(5) }, &mut unpruned)
+        .unwrap();
     assert_eq!(unpruned.stats.frontier_expanded, eager.stats.reachable);
     assert_eq!(unpruned.stats.reachable, eager.stats.reachable);
-}
-
-/// The lazy loop and the eager-drain replay (`top_k_eager_into`) on the
-/// default workspace are the same search over the same gather — items
-/// bit-identical, work counters equal, only the traversal counters differ.
-#[test]
-fn lazy_loop_matches_eager_drain_under_default_kernel() {
-    let g = barabasi_albert(150, 3, 23);
-    let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
-    let mut lazy_s = index.searcher();
-    let mut eager_s = index.searcher();
-    let (mut lazy, mut eager) = (TopKResult::default(), TopKResult::default());
-    for q in (0..150u32).step_by(11) {
-        lazy_s.top_k_into(q, 8, &mut lazy).unwrap();
-        eager_s.top_k_eager_into(q, 8, &mut eager).unwrap();
-        assert_eq!(lazy.items.len(), eager.items.len());
-        for (x, y) in lazy.items.iter().zip(&eager.items) {
-            assert_eq!(x.node, y.node, "q {q}");
-            assert_eq!(x.proximity.to_bits(), y.proximity.to_bits(), "q {q}");
-        }
-        assert_eq!(lazy.stats.visited, eager.stats.visited);
-        assert_eq!(lazy.stats.proximity_computations, eager.stats.proximity_computations);
-        assert_eq!(lazy.stats.terminated_early, eager.stats.terminated_early);
-        assert_eq!(eager.stats.frontier_expanded, eager.stats.reachable);
-        assert!(lazy.stats.frontier_expanded <= eager.stats.frontier_expanded, "q {q}");
-    }
 }
 
 /// Interleaving entry points on one workspace must not leak lazy-frontier
@@ -214,17 +201,26 @@ fn mixed_entry_points_reset_lazy_state() {
     let g = erdos_renyi(70, 280, 11);
     let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
     let mut s = index.searcher();
+    let mut run = |restart, stop| {
+        let mut out = kdash_core::TopKResult::default();
+        s.run(&Query { restart, stop }, &mut out).unwrap();
+        out
+    };
     for round in 0..4 {
-        let a = s.top_k(3, 4).unwrap(); // may terminate early (partial frontier)
-        let b = s.top_k_unpruned(3, 4).unwrap(); // must drain fully afterwards
+        let a = run(Restart::Node(3), Stop::TopK(4)); // may terminate early (partial frontier)
+        let b = run(Restart::Node(3), Stop::Unpruned(4)); // must drain fully afterwards
         assert_eq!(b.stats.frontier_expanded, b.stats.reachable, "round {round}");
         assert!(a.stats.reachable <= b.stats.reachable, "round {round}");
-        let c = s.nodes_above(3, 1e-5).unwrap();
-        let d = s.top_k(3, 4).unwrap();
+        let c = run(Restart::Set(&[3, 9]), Stop::Above(1e-5));
+        let e = run(Restart::Set(&[3, 9]), Stop::Unpruned(4));
+        assert_eq!(e.stats.frontier_expanded, e.stats.reachable, "round {round}");
+        let d = run(Restart::Node(3), Stop::TopK(4));
         assert_eq!(a.stats, d.stats, "round {round}: replay after interleaving must agree");
         for (x, y) in a.items.iter().zip(&d.items) {
             assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
         }
-        drop(c);
+        let c_again = run(Restart::Set(&[3, 9]), Stop::Above(1e-5));
+        assert_eq!(c.items, c_again.items, "round {round}");
+        assert_eq!(c.stats, c_again.stats, "round {round}");
     }
 }

@@ -2,7 +2,7 @@
 //! theorems as machine-checked invariants.
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::{IndexOptions, KdashIndex, LayerEstimator, NodeOrdering};
+use kdash_core::{IndexOptions, KdashIndex, LayerEstimator, NodeOrdering, Query, Restart, Stop};
 use kdash_graph::{BfsTree, CsrGraph, GraphBuilder, NodeId, Permutation};
 use kdash_sparse::{
     invert_lower_unit, invert_upper, sparse_lu, transition_matrix, w_matrix, DanglingPolicy,
@@ -195,7 +195,7 @@ proptest! {
         let q = (q_sel as usize % n) as NodeId;
         let theta = 10f64.powi(-(theta_exp as i32));
         let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
-        let got = index.nodes_above(q, theta).unwrap();
+        let got = index.run(&Query { restart: Restart::Node(q), stop: Stop::Above(theta) }).unwrap();
         let full = index.full_proximities(q).unwrap();
         let expect = full.iter().filter(|&&p| p >= theta).count();
         prop_assert_eq!(got.items.len(), expect);

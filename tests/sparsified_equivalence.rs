@@ -5,19 +5,21 @@
 //! iterates until the residual norm proves the ranking, or fails loudly.
 //!
 //! * Property: across ER/BA/RMAT (reweighted to break exact proximity
-//!   ties) × orderings × ε ∈ {1e-8, 1e-5, 1e-3} × k ∈ {5, 50} ×
-//!   top-k / restart-set / random-root / unpruned / threshold /
-//!   merge-join-oracle entry points, sparsified results carry the exact
-//!   node sequence, and the values witness the certificate: the maximum
-//!   deviation from exact stays below half the refined ranking's minimum
-//!   adjacent gap (plus threshold margins for `nodes_above`).
+//!   ties) × orderings × ε ∈ {1e-8, 1e-5, 1e-3} × k ∈ {5, 50} × every
+//!   `Restart × Stop` pair (node / restart set × top-k / threshold /
+//!   unpruned) plus the random-root ablation, sparsified results carry
+//!   the exact node sequence, and the values witness the certificate: the
+//!   maximum deviation from exact stays below half the refined ranking's
+//!   minimum adjacent gap (plus threshold margins for `Stop::Above`).
 //! * ε = 0 routes the classic path bit-for-bit: stores, items, and
 //!   stats all identical to the default dense build.
 //! * A positive ε that drops nothing (1e-300) flags the *tier* as
 //!   sparsified but keeps `needs_refinement()` false — classic-path
 //!   queries, bit-identical stores.
 
-use kdash_core::{IndexOptions, KdashError, KdashIndex, NodeOrdering, TopKResult};
+use kdash_core::{
+    IndexOptions, KdashError, KdashIndex, NodeOrdering, Query, Restart, Stop, TopKResult,
+};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
 use proptest::prelude::*;
@@ -150,7 +152,7 @@ proptest! {
         prop_assert!(!dense.is_sparsified());
 
         // A threshold wedged between two single-source ranking values,
-        // for the nodes_above entry point.
+        // for the threshold stop.
         let dense_padded = dense.top_k(q, k + 1).unwrap();
         let sources = [q, (q + 1) % n as NodeId];
         let root = (q + 2) % n as NodeId;
@@ -161,19 +163,6 @@ proptest! {
                 (dense_padded.items[at - 1].proximity + dense_padded.items[at].proximity) / 2.0
             }
         };
-
-        type Run = (&'static str, Box<dyn Fn(&KdashIndex, usize) -> Result<TopKResult, KdashError>>);
-        let runs: Vec<Run> = vec![
-            ("top_k", Box::new(move |ix, kk| ix.top_k(q, kk))),
-            ("from_set", Box::new(move |ix, kk| ix.top_k_from_set(&sources, kk))),
-            ("random_root", Box::new(move |ix, kk| ix.top_k_from_root(q, kk, root))),
-            ("unpruned", Box::new(move |ix, kk| ix.top_k_unpruned(q, kk))),
-            ("merge_join", Box::new(move |ix, kk| ix.top_k_merge_join(q, kk))),
-            (
-                "from_set_replay",
-                Box::new(move |ix, kk| ix.top_k_from_set_replay(&sources, kk)),
-            ),
-        ];
 
         for eps in [1e-8, 1e-5, 1e-3] {
             let sparse = build(&graph, ordering, eps);
@@ -187,8 +176,8 @@ proptest! {
             // residual was already at floating-point-noise level — a
             // large residual at failure would mean refinement diverged,
             // which IS a bug.
-            let mut check = |label: &str, d: Result<TopKResult, KdashError>,
-                             s: Result<TopKResult, KdashError>, bound: f64| {
+            let check = |label: &str, d: Result<TopKResult, KdashError>,
+                         s: Result<TopKResult, KdashError>, bound: f64| {
                 let d = d.expect("dense-exact queries never fail");
                 match s {
                     Ok(s) => check_same_ranking(label, &d, &s, bound),
@@ -200,28 +189,42 @@ proptest! {
                     Err(e) => panic!("{label}: unexpected error {e}"),
                 }
             };
-            for (label, run) in &runs {
+            for (name, restart) in [("node", Restart::Node(q)), ("set", Restart::Set(&sources))] {
+                for stop in [Stop::TopK(k), Stop::Unpruned(k)] {
+                    let query = Query { restart, stop };
+                    check(
+                        &format!("eps {eps:e} {name} {stop:?} n={n} q={q}"),
+                        dense.run(&query),
+                        sparse.run(&query),
+                        f64::INFINITY,
+                    );
+                }
+                // Threshold stop: the certificate additionally bounds the
+                // final residual below every refined margin to θ.
+                let query = Query { restart, stop: Stop::Above(theta) };
+                let s_above = sparse.run(&query);
+                let margin = s_above
+                    .as_ref()
+                    .map(|r| {
+                        r.items
+                            .iter()
+                            .map(|i| (i.proximity - theta).abs())
+                            .fold(f64::INFINITY, f64::min)
+                    })
+                    .unwrap_or(f64::INFINITY);
                 check(
-                    &format!("eps {eps:e} {label} n={n} q={q} k={k}"),
-                    run(&dense, k),
-                    run(&sparse, k),
-                    f64::INFINITY,
+                    &format!("eps {eps:e} {name} Above({theta:e}) n={n} q={q}"),
+                    dense.run(&query),
+                    s_above,
+                    margin,
                 );
             }
-            // Threshold query: the certificate additionally bounds the
-            // final residual below every refined margin to θ.
-            let d_above = dense.nodes_above(q, theta);
-            let s_above = sparse.nodes_above(q, theta);
-            let margin = s_above
-                .as_ref()
-                .map(|r| {
-                    r.items
-                        .iter()
-                        .map(|i| (i.proximity - theta).abs())
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .unwrap_or(f64::INFINITY);
-            check(&format!("eps {eps:e} nodes_above n={n} q={q}"), d_above, s_above, margin);
+            check(
+                &format!("eps {eps:e} random_root n={n} q={q} k={k}"),
+                dense.searcher().top_k_from_root(q, k, root),
+                sparse.searcher().top_k_from_root(q, k, root),
+                f64::INFINITY,
+            );
             // ε = 1e-3 on these graphs must actually drop mass —
             // otherwise the property never exercised the refined path.
             if eps == 1e-3 {

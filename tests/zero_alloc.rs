@@ -1,12 +1,14 @@
-//! Pins down the `Searcher` hot-path contract: after one warm-up query,
-//! `Searcher::top_k_into` performs **zero heap allocations**.
+//! Pins down the `Searcher` hot-path contract: after warm-up,
+//! `Searcher::top_k_into` — and `Searcher::run` from a single node under
+//! every stop rule — performs **zero heap allocations**.
 //!
-//! A counting global allocator wraps the system one; the warm-up query
-//! sizes every reusable buffer (BFS order, scattered column, heap, result
-//! items), after which repeated queries — same k, arbitrary query nodes —
-//! must leave the allocation counter untouched.
+//! A counting global allocator wraps the system one; the warm-up queries
+//! size every reusable buffer (BFS order, scattered column, heap, result
+//! items), after which repeated queries — same stop, arbitrary query
+//! nodes — must leave the allocation counter untouched. The counter is
+//! process-wide, so every measured window lives in one test function.
 
-use kdash_core::{IndexOptions, KdashIndex, TopKResult};
+use kdash_core::{IndexOptions, KdashIndex, Query, Restart, Stop, TopKResult};
 use kdash_datagen::barabasi_albert;
 use kdash_graph::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,6 +71,26 @@ fn top_k_into_is_allocation_free_after_warmup() {
         after - before,
         3 * n
     );
+
+    // The threshold and unpruned stops run the same loop; their hits and
+    // heap live in the same reused buffers.
+    for stop in [Stop::Above(1e-3), Stop::Unpruned(k)] {
+        for q in 0..n {
+            searcher.run(&Query { restart: Restart::Node(q), stop }, &mut result).unwrap();
+        }
+        let before = allocations();
+        for q in 0..n {
+            searcher.run(&Query { restart: Restart::Node(q), stop }, &mut result).unwrap();
+            assert!(!result.items.is_empty(), "{stop:?} q {q}: the query node always answers");
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "Searcher::run with {stop:?} allocated {} times across {n} warmed-up queries",
+            after - before,
+        );
+    }
 }
 
 #[test]
